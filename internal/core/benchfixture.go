@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+
 	"ursa/internal/cluster"
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
@@ -135,12 +137,14 @@ func newPlacementBench(clusCfg cluster.Config, nStages, tasksPerStage int) *Plac
 }
 
 // EnableScalable turns on the sub-linear placement path for this fixture:
-// incremental dirty-worker snapshots, top-K candidate selection and the
-// parallel ranking pass (Config.ScalablePlacement). The context reads the
-// system config through a pointer, so the flags take effect on the next
-// Tick.
+// top-K candidate selection over 16 candidates and a parallel ranking pass
+// sized to GOMAXPROCS. Parallel ranking is bit-identical to the serial
+// pass; top-K trades a bounded score loss for O(K) instead of O(W) scoring
+// per task. The context reads the system config through a pointer, so the
+// settings take effect on the next Tick.
 func (pb *PlacementBench) EnableScalable() {
-	pb.Sys.Cfg = pb.Sys.Cfg.ScalablePlacement()
+	pb.Sys.Cfg.CandidateWorkers = 16
+	pb.Sys.Cfg.RankParallelism = runtime.GOMAXPROCS(0)
 }
 
 // Configure applies an arbitrary config mutation to the fixture (e.g. a

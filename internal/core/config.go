@@ -6,8 +6,6 @@
 package core
 
 import (
-	"runtime"
-
 	"ursa/internal/eventloop"
 	"ursa/internal/resource"
 )
@@ -59,15 +57,6 @@ type Config struct {
 	// RateWindow is the processing-rate observation period at workers.
 	RateWindow eventloop.Duration
 
-	// IncrementalSnapshots makes the placement tick refresh only dirty
-	// workers' snapshots and headroom vectors (workers mark themselves
-	// dirty on monotask enqueue/start/finish, memory reserve/release,
-	// device activity and failure) instead of rebuilding all O(W) entries
-	// every interval. Placements are bit-identical to the full rebuild —
-	// rate blending is anchored to the monitor's window grid (see
-	// rateMonitor.roll), so a clean worker's snapshot is provably
-	// unchanged. Off by default (exact full rebuild each tick).
-	IncrementalSnapshots bool
 	// CandidateWorkers bounds how many candidate workers each task is
 	// scored against: the top K by headroom on the task's dominant
 	// resource kind, drawn from a bucketed per-kind index that also
@@ -139,23 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RateWindow <= 0 {
 		c.RateWindow = 5 * eventloop.Second
-	}
-	return c
-}
-
-// ScalablePlacement returns c with the sub-linear placement optimizations
-// enabled: incremental dirty-worker snapshots, top-K candidate selection
-// (16 candidates unless already set) and a parallel ranking pass sized to
-// GOMAXPROCS. Incremental snapshots and parallel ranking are bit-identical
-// to the exact path; top-K is an approximation that trades a bounded score
-// loss for O(K) instead of O(W) scoring per task.
-func (c Config) ScalablePlacement() Config {
-	c.IncrementalSnapshots = true
-	if c.CandidateWorkers == 0 {
-		c.CandidateWorkers = 16
-	}
-	if c.RankParallelism == 0 {
-		c.RankParallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }

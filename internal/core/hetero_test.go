@@ -184,8 +184,8 @@ func TestRateMonitorDecay(t *testing.T) {
 				t.Fatalf("rate = %v, want %v", got, tc.want)
 			}
 			// Read-frequency independence: polling every half window must
-			// produce the bitwise-identical final value — the exactness
-			// contract incremental snapshots rely on.
+			// produce the bitwise-identical final value — a rate depends on
+			// time and samples only, never on read cadence.
 			var polls []eventloop.Time
 			for at := eventloop.Time(0); at < tc.readAt; at += eventloop.Time(win / 2) {
 				polls = append(polls, at)
@@ -198,32 +198,28 @@ func TestRateMonitorDecay(t *testing.T) {
 	}
 }
 
-// TestRateMonitorNextChange pins the staleness contract after the decay
-// fix: a displaced estimate keeps reporting the next boundary (each one
-// decays it) until it converges back to nominal, then reports staleNever.
-func TestRateMonitorNextChange(t *testing.T) {
+// TestRateMonitorDecaySnapsToNominal pins the decay fix through rate():
+// samples hold until their window closes, the first boundary blends them
+// with the nominal prior exactly once, and a long idle gap decays the
+// estimate back to exactly nominal rather than leaving it asymptotically
+// short of it.
+func TestRateMonitorDecaySnapsToNominal(t *testing.T) {
 	loop := eventloop.New()
 	rm := newRateMonitor(loop, 100, eventloop.Second)
-	if got := rm.nextChange(); got != staleNever {
-		t.Fatalf("pristine nextChange = %v, want staleNever", got)
+	if got := rm.rate(); got != 100 {
+		t.Fatalf("pristine rate = %v, want nominal 100", got)
 	}
-	rm.sample(500, 10)
-	if got := rm.nextChange(); got != eventloop.Time(eventloop.Second) {
-		t.Fatalf("pending-sample nextChange = %v, want first boundary", got)
+	rm.sample(500, 10) // 50 B/s observed
+	if got := rm.rate(); got != 100 {
+		t.Fatalf("rate before the window closes = %v, want nominal 100", got)
 	}
 	loop.RunUntil(eventloop.Time(eventloop.Second))
-	rm.rate()
-	// Displaced from nominal: the next boundary will decay it.
-	if got := rm.nextChange(); got != eventloop.Time(2*eventloop.Second) {
-		t.Fatalf("displaced nextChange = %v, want next boundary", got)
+	if got := rm.rate(); got != 75 {
+		t.Fatalf("rate after first window = %v, want exactly 75 (0.5·100 + 0.5·50)", got)
 	}
-	// Converged: staleNever again.
 	loop.RunUntil(eventloop.Time(100 * eventloop.Second))
 	if got := rm.rate(); got != 100 {
-		t.Fatalf("rate after long decay = %v, want exactly 100", got)
-	}
-	if got := rm.nextChange(); got != staleNever {
-		t.Fatalf("converged nextChange = %v, want staleNever", got)
+		t.Fatalf("rate after long idle gap = %v, want exactly 100", got)
 	}
 }
 

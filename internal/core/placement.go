@@ -43,15 +43,14 @@ type PlaceContext struct {
 
 	// Interference penalty state (Config.InterferencePenalty). dev holds
 	// each worker's observed-vs-nominal CPU rate deviation (the no-decay
-	// Worker.Deviation signal), refreshed under the same dirty/stale
-	// discipline as invRateEPT; pen holds the derived per-worker score
-	// factor in [penFloor, 1]. The signal is CPU-only: network and disk
-	// observed rates drop below nominal whenever the scheduler's own
-	// placements share a link (per-flow fair sharing), so a below-nominal
-	// observation there is self-inflicted load — already modelled by the
-	// D_r headroom term — not external interference. Both slices are
-	// allocated only when the flag is on, so the default path stays
-	// allocation-free and bit-identical.
+	// Worker.Deviation signal), snapshotted alongside invRateEPT; pen holds
+	// the derived per-worker score factor in [penFloor, 1]. The signal is
+	// CPU-only: network and disk observed rates drop below nominal whenever
+	// the scheduler's own placements share a link (per-flow fair sharing),
+	// so a below-nominal observation there is self-inflicted load — already
+	// modelled by the D_r headroom term — not external interference. Both
+	// slices are allocated only when the flag is on, so the default path
+	// stays allocation-free and bit-identical.
 	dev    []float64
 	pen    []float64
 	usePen bool
@@ -66,27 +65,15 @@ type PlaceContext struct {
 	// out accumulates the interval's placements.
 	out []Placement
 
-	// Incremental snapshot state (Config.IncrementalSnapshots). A worker's
-	// snapshot is refreshed only when its epoch moved since the last
-	// refresh (markDirty), its time-driven staleness deadline passed (a
-	// rate-window boundary with pending samples), or the previous commit
-	// pass mutated its headroom vector (touched).
-	snapEpoch []uint64
-	staleAt   []eventloop.Time
-	refreshed []bool // workers whose snapshot was refreshed this tick
-	touched   []bool // d mutated by the last commit pass → force refresh
-	snapValid bool
-
 	// headroom counts workers with any positive d entry, maintained by the
 	// commit path so anyHeadroom is O(1) instead of O(W) per query.
 	headroom int
 
 	// idx ranks workers by per-kind interval-initial headroom for top-K
-	// candidate selection; valid only while useIdx.
-	idx      headroomIndex
-	idxValid bool
-	useIdx   bool
-	candK    int
+	// candidate selection; rebuilt each tick while useIdx.
+	idx    headroomIndex
+	useIdx bool
+	candK  int
 
 	// shards hold the per-goroutine scratch of the parallel ranking pass.
 	shards []rankShard
@@ -125,34 +112,21 @@ func (ctx *PlaceContext) OrderBoost(j *Job) float64 {
 	return ctx.orderBoost(j, ctx.Now)
 }
 
-// prepare snapshots worker state for this interval, reusing the snapshot
-// slices from previous intervals. With Config.IncrementalSnapshots it
-// refreshes only workers that are dirty (epoch moved), time-stale (a
-// rate-window boundary with pending samples passed) or were mutated by the
-// previous commit pass; placements are bit-identical to the full rebuild.
+// prepare snapshots every worker's state for this interval, reusing the
+// snapshot slices from previous intervals.
 func (ctx *PlaceContext) prepare() {
 	ept := ctx.Cfg.EPT.Seconds()
 	n := len(ctx.Workers)
-	full := !ctx.Cfg.IncrementalSnapshots || !ctx.snapValid || len(ctx.d) != n
 	if cap(ctx.invRateEPT) < n {
 		ctx.invRateEPT = make([][3]float64, n)
 		ctx.memFree = make([]float64, n)
 		ctx.memCap = make([]float64, n)
 		ctx.d = make([]dVec, n)
-		ctx.snapEpoch = make([]uint64, n)
-		ctx.staleAt = make([]eventloop.Time, n)
-		ctx.refreshed = make([]bool, n)
-		ctx.touched = make([]bool, n)
-		full = true
 	} else {
 		ctx.invRateEPT = ctx.invRateEPT[:n]
 		ctx.memFree = ctx.memFree[:n]
 		ctx.memCap = ctx.memCap[:n]
 		ctx.d = ctx.d[:n]
-		ctx.snapEpoch = ctx.snapEpoch[:n]
-		ctx.staleAt = ctx.staleAt[:n]
-		ctx.refreshed = ctx.refreshed[:n]
-		ctx.touched = ctx.touched[:n]
 	}
 	ctx.usePen = ctx.Cfg.InterferencePenalty
 	if ctx.usePen && cap(ctx.dev) < n {
@@ -163,18 +137,10 @@ func (ctx *PlaceContext) prepare() {
 		ctx.pen = ctx.pen[:n]
 	}
 	for i, w := range ctx.Workers {
-		refresh := full || ctx.touched[i] || w.epoch != ctx.snapEpoch[i] || ctx.Now >= ctx.staleAt[i]
-		ctx.refreshed[i] = refresh
-		ctx.touched[i] = false
-		if !refresh {
-			continue
-		}
-		ctx.snapEpoch[i] = w.epoch
 		ctx.invRateEPT[i] = [3]float64{}
 		if w.failed || w.draining {
 			ctx.memFree[i] = -1 // every placement gate rejects the worker
 			ctx.memCap[i] = w.MemCapacity()
-			ctx.staleAt[i] = staleNever
 			if ctx.usePen {
 				ctx.dev[i] = 0 // excluded from the deviation max
 			}
@@ -191,11 +157,7 @@ func (ctx *PlaceContext) prepare() {
 		}
 		ctx.memFree[i] = w.MemFree()
 		ctx.memCap[i] = w.MemCapacity()
-		// Reading the rates above rolled the monitors to Now, so the
-		// staleness deadline is the next window boundary still pending.
-		ctx.staleAt[i] = w.snapshotStaleAt()
 	}
-	ctx.snapValid = ctx.Cfg.IncrementalSnapshots
 	if ctx.usePen {
 		ctx.computePenalty()
 	}
@@ -233,10 +195,7 @@ const penFloor = 0.01
 // untouched network term steer it onto a machine the CPU evidence says to
 // avoid.
 //
-// The factors are recomputed from dev every tick in O(W); dev itself
-// follows the incremental dirty/stale refresh discipline, so with clean
-// workers the inputs — and therefore the factors — are bitwise stable and
-// the incremental-snapshot exactness argument carries over.
+// The factors are recomputed from the dev snapshot every tick in O(W).
 func (ctx *PlaceContext) computePenalty() {
 	maxDev := 0.0
 	for i, d := range ctx.dev {
@@ -426,25 +385,13 @@ func (ctx *PlaceContext) rankPass(d []dVec) {
 }
 
 // prepareIndex decides whether top-K candidate selection applies this tick
-// and brings the headroom index in sync with d. With incremental snapshots
-// only refreshed workers are re-bucketed; otherwise the index is rebuilt.
+// and, if so, rebuilds the headroom index from d.
 func (ctx *PlaceContext) prepareIndex(d []dVec) {
 	k := ctx.Cfg.CandidateWorkers
 	ctx.useIdx = k > 0 && k < len(ctx.Workers)
 	ctx.candK = k
-	if !ctx.useIdx {
-		ctx.idxValid = false
-		return
-	}
-	if !ctx.idxValid || !ctx.Cfg.IncrementalSnapshots || ctx.idx.n != len(d) {
+	if ctx.useIdx {
 		ctx.idx.rebuild(d)
-		ctx.idxValid = true
-		return
-	}
-	for i := range d {
-		if ctx.refreshed[i] {
-			ctx.idx.update(i, &d[i])
-		}
 	}
 }
 
@@ -518,16 +465,13 @@ func stageViable(ctx *PlaceContext, ps *PendingStage, d []dVec) bool {
 }
 
 // computeD evaluates the per-worker headroom vectors from live worker state
-// into the context's reusable buffer — only for refreshed workers when
-// snapshots are incremental (a clean worker's APT inputs are unchanged by
-// construction) — and recounts the workers that retain any headroom.
+// into the context's reusable buffer and counts the workers that retain any
+// headroom.
 func (ctx *PlaceContext) computeD() []dVec {
 	ept := ctx.Cfg.EPT.Seconds()
 	d := ctx.d
+	ctx.headroom = 0
 	for i, w := range ctx.Workers {
-		if !ctx.refreshed[i] {
-			continue
-		}
 		for _, k := range resource.MonotaskKinds {
 			v := (ept - w.APT(k)) / ept
 			if v < 0 {
@@ -536,9 +480,6 @@ func (ctx *PlaceContext) computeD() []dVec {
 			d[i][k] = v
 		}
 		d[i][resource.Mem] = ctx.memFree[i] / ctx.memCap[i]
-	}
-	ctx.headroom = 0
-	for i := range d {
 		if anyVec(&d[i]) {
 			ctx.headroom++
 		}
@@ -661,10 +602,10 @@ func applyInc(d dVec, inc dVec) dVec {
 // pre-call state and no context-level state is touched — which is what
 // makes the ranking pass shardable across goroutines with per-shard d and
 // undo. When keep is true (the commit pass, always on ctx.d/ctx.undo) the
-// mutations stand, the plan's placements are appended to ctx.out, mutated
-// workers are marked for snapshot refresh, and the O(1) headroom count is
-// maintained. It returns the normalized score (plus the stage bonus when
-// every task was placed) and the number of tasks placed.
+// mutations stand, the plan's placements are appended to ctx.out, and the
+// O(1) headroom count is maintained. It returns the normalized score (plus
+// the stage bonus when every task was placed) and the number of tasks
+// placed.
 func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, d []dVec, undo *[]undoEntry, keep bool) (float64, int) {
 	mark := len(*undo)
 	score := 0.0
@@ -683,7 +624,6 @@ func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, d []dVec, undo *[]undoEn
 			if had && !anyVec(&d[bestW]) {
 				ctx.headroom--
 			}
-			ctx.touched[bestW] = true
 			ctx.out = append(ctx.out, Placement{Stage: ps, Task: t, Worker: ctx.Workers[bestW]})
 		} else {
 			d[bestW] = applyInc(d[bestW], bestInc)
@@ -734,7 +674,7 @@ func bestSingleTask(ctx *PlaceContext, d []dVec) (Placement, bool) {
 }
 
 // commit applies a single placement to D (non-stage-aware path), keeping
-// the headroom count and snapshot-refresh marks consistent.
+// the headroom count consistent.
 func commit(ctx *PlaceContext, d []dVec, t *dag.Task, w *Worker) {
 	_, inc, _ := scoreTask(ctx, t, w.ID, d[w.ID])
 	had := anyVec(&d[w.ID])
@@ -742,7 +682,6 @@ func commit(ctx *PlaceContext, d []dVec, t *dag.Task, w *Worker) {
 	if had && !anyVec(&d[w.ID]) {
 		ctx.headroom--
 	}
-	ctx.touched[w.ID] = true
 	// Mark as planned so bestSingleTask skips it within this interval.
 	t.Worker = w.ID
 }

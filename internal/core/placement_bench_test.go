@@ -18,6 +18,22 @@ func BenchmarkPlacementTick(b *testing.B) {
 	}
 }
 
+// BenchmarkPlacementTickHetero is the same pool on a mixed-capacity fleet
+// with the interference penalty on (placement_tick_hetero in
+// BENCH_core.json): the penalty path must stay allocation-free too.
+func BenchmarkPlacementTickHetero(b *testing.B) {
+	pb := NewPlacementBenchHetero(64, 32, 16)
+	pb.Configure(func(c *Config) { c.InterferencePenalty = true })
+	if pb.Tick() == 0 {
+		b.Fatal("placement pass placed nothing; fixture is not exercising the hot path")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pb.Tick()
+	}
+}
+
 // BenchmarkPlacementTickSmall is the same pass at the paper's testbed scale
 // (20 workers), closer to what one 100 ms interval really costs.
 func BenchmarkPlacementTickSmall(b *testing.B) {
@@ -49,6 +65,10 @@ func benchTickAt(b *testing.B, workers, stages, tasks int, scalable bool) {
 	}
 }
 
+// BenchmarkPlacementTickScalable is BenchmarkPlacementTick's pool on the
+// scalable path: top-K still prunes at 64 workers (K = 16).
+func BenchmarkPlacementTickScalable(b *testing.B) { benchTickAt(b, 64, 32, 16, true) }
+
 // BenchmarkPlacementTickMediumExact / ...Medium measure a 256-worker pool.
 func BenchmarkPlacementTickMediumExact(b *testing.B) { benchTickAt(b, 256, 64, 16, false) }
 func BenchmarkPlacementTickMedium(b *testing.B)      { benchTickAt(b, 256, 64, 16, true) }
@@ -58,6 +78,6 @@ func BenchmarkPlacementTickMedium(b *testing.B)      { benchTickAt(b, 256, 64, 1
 // BenchmarkPlacementTickLarge is the headline speedup of ISSUE 2.
 func BenchmarkPlacementTickLargeExact(b *testing.B) { benchTickAt(b, 1024, 256, 16, false) }
 
-// BenchmarkPlacementTickLarge is the same pool under Config.ScalablePlacement
-// (incremental snapshots + top-K candidate index + parallel ranking).
+// BenchmarkPlacementTickLarge is the same pool on the fixture's scalable
+// path (top-K candidate index + parallel ranking; see EnableScalable).
 func BenchmarkPlacementTickLarge(b *testing.B) { benchTickAt(b, 1024, 256, 16, true) }

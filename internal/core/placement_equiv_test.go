@@ -1,12 +1,11 @@
 package core
 
-// Equivalence suite for the sub-linear placement path (ISSUE 2): the
-// incremental dirty-worker snapshots, the top-K candidate index with K ≥ W,
-// and the parallel ranking pass must each produce placements bit-identical
-// to the exact serial scan — at tick granularity on the saturated bench
-// fixture and at system granularity on full simulated runs (including a
-// worker failure). Run under -race in CI: the parallel ranking pass spawns
-// goroutines inside the simulation.
+// Equivalence suite for the sub-linear placement path: the top-K candidate
+// index with K ≥ W and the parallel ranking pass must each, and together,
+// produce placements bit-identical to the exact serial scan — at tick
+// granularity on the saturated bench fixture and at system granularity on
+// full simulated runs (including a worker failure). Run under -race in CI:
+// the parallel ranking pass spawns goroutines inside the simulation.
 
 import (
 	"testing"
@@ -51,13 +50,6 @@ func assertSameTicks(t *testing.T, name string, exact, variant *PlacementBench, 
 	}
 }
 
-func TestTickEquivalenceIncrementalSnapshots(t *testing.T) {
-	exact := NewPlacementBench(48, 24, 8)
-	inc := NewPlacementBench(48, 24, 8)
-	inc.Configure(func(c *Config) { c.IncrementalSnapshots = true })
-	assertSameTicks(t, "incremental", exact, inc, 6)
-}
-
 func TestTickEquivalenceTopKAtLeastW(t *testing.T) {
 	for _, k := range []int{48, 64, 1 << 20} {
 		exact := NewPlacementBench(48, 24, 8)
@@ -80,7 +72,6 @@ func TestTickEquivalenceAllFlagsExactK(t *testing.T) {
 	exact := NewPlacementBench(48, 24, 8)
 	all := NewPlacementBench(48, 24, 8)
 	all.Configure(func(c *Config) {
-		c.IncrementalSnapshots = true
 		c.CandidateWorkers = 48 // K = W: exact scan, index plumbing active
 		c.RankParallelism = 4
 	})
@@ -94,7 +85,6 @@ func TestTickTopKSmallDeterministic(t *testing.T) {
 	mk := func() *PlacementBench {
 		pb := NewPlacementBench(48, 24, 8)
 		pb.Configure(func(c *Config) {
-			c.IncrementalSnapshots = true
 			c.CandidateWorkers = 8
 			c.RankParallelism = 3
 		})
@@ -119,20 +109,17 @@ func TestTickTopKSmallDeterministic(t *testing.T) {
 
 // TestTickEquivalenceHetero re-proves the optimized paths' exactness on a
 // mixed-capacity cluster with interference-displaced measured rates — the
-// setting the bucketed index's [0,1]-per-worker invariant and the
-// incremental penalty snapshot must survive — with the interference penalty
-// both off and on. K = W keeps the index plumbing active while remaining an
+// setting the bucketed index's [0,1]-per-worker invariant must survive —
+// with the interference penalty both off and on. K = W keeps the index plumbing active while remaining an
 // exact scan.
 func TestTickEquivalenceHetero(t *testing.T) {
 	variants := []struct {
 		name string
 		mod  func(*Config)
 	}{
-		{"incremental", func(c *Config) { c.IncrementalSnapshots = true }},
 		{"topk-exact", func(c *Config) { c.CandidateWorkers = 48 }},
 		{"parallel-rank", func(c *Config) { c.RankParallelism = 4 }},
 		{"all", func(c *Config) {
-			c.IncrementalSnapshots = true
 			c.CandidateWorkers = 48
 			c.RankParallelism = 4
 		}},
@@ -180,17 +167,15 @@ func runSystem(t *testing.T, cfg Config, n int, failAt eventloop.Duration) []eve
 // TestSystemEquivalence runs full simulations and demands bit-identical
 // job finish times between the exact serial scheduler and each optimized
 // path, under both ordering policies and across a worker failure (which
-// exercises the dirty marking in fail/abort paths).
+// exercises the failed-worker sentinel in the snapshot).
 func TestSystemEquivalence(t *testing.T) {
 	variants := []struct {
 		name string
 		mod  func(*Config)
 	}{
-		{"incremental", func(c *Config) { c.IncrementalSnapshots = true }},
 		{"topk-exact", func(c *Config) { c.CandidateWorkers = 1 << 20 }},
 		{"parallel-rank", func(c *Config) { c.RankParallelism = 4 }},
 		{"all", func(c *Config) {
-			c.IncrementalSnapshots = true
 			c.CandidateWorkers = 1 << 20
 			c.RankParallelism = 4
 		}},
@@ -230,11 +215,9 @@ func TestSystemEquivalenceHetero(t *testing.T) {
 		name string
 		mod  func(*Config)
 	}{
-		{"incremental", func(c *Config) { c.IncrementalSnapshots = true }},
 		{"topk-exact", func(c *Config) { c.CandidateWorkers = 1 << 20 }},
 		{"parallel-rank", func(c *Config) { c.RankParallelism = 4 }},
 		{"all", func(c *Config) {
-			c.IncrementalSnapshots = true
 			c.CandidateWorkers = 1 << 20
 			c.RankParallelism = 4
 		}},
@@ -280,7 +263,6 @@ func TestSystemEquivalenceHetero(t *testing.T) {
 // its viable worker sits outside the candidate set forever).
 func TestSystemTopKSmallCompletes(t *testing.T) {
 	cfg := Config{}
-	cfg.IncrementalSnapshots = true
 	cfg.CandidateWorkers = 2 // 4 workers: genuinely restrictive
 	cfg.RankParallelism = 2
 	times := runSystem(t, cfg, 6, 0)

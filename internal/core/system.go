@@ -161,9 +161,6 @@ func (s *System) SetWorkerProfile(id int, p cluster.MachineProfile) {
 	}
 	s.Cluster.Reprofile(w.Machine, p)
 	w.initRates()
-	w.Machine.Net.OnActivity = w.markDirty
-	w.Machine.Disk.OnActivity = w.markDirty
-	w.markDirty()
 }
 
 // FailWorker injects a machine failure at the current virtual time (§4.3):
@@ -204,7 +201,6 @@ func (s *System) BeginDrain(id int) bool {
 		return false
 	}
 	w.draining = true
-	w.markDirty()
 	w.maybeDrained()
 	return true
 }

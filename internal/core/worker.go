@@ -49,36 +49,6 @@ type Worker struct {
 	drainedNotified bool
 
 	enqSeq uint64
-
-	// epoch counts state changes that can alter the scheduler's per-worker
-	// snapshot (queue contents, load, rates, idle cores, memory
-	// reservations, failure). PlaceContext compares it against the epoch
-	// captured at the last snapshot refresh to skip clean workers when
-	// Config.IncrementalSnapshots is enabled; see placement.go.
-	epoch uint64
-}
-
-// markDirty records that the worker's schedulable state changed, so the
-// next placement tick must refresh its snapshot.
-func (w *Worker) markDirty() { w.epoch++ }
-
-// staleNever is the "no time-driven refresh needed" sentinel for snapshot
-// staleness deadlines.
-const staleNever = eventloop.Time(1<<63 - 1)
-
-// snapshotStaleAt returns the earliest virtual time at which this worker's
-// scheduler snapshot could change without any intervening markDirty event:
-// the next rate-window boundary of a monitor holding unrolled samples
-// (rates only blend at window-grid boundaries; see rateMonitor.roll).
-// Callers must have read the rates at the current time first.
-func (w *Worker) snapshotStaleAt() eventloop.Time {
-	at := staleNever
-	for _, r := range w.rates {
-		if t := r.nextChange(); t < at {
-			at = t
-		}
-	}
-	return at
 }
 
 type taskMem struct {
@@ -133,10 +103,6 @@ func newWorker(sys *System, m *cluster.Machine) *Worker {
 	for k := range w.queues {
 		w.queues[k].cfg = &sys.Cfg
 	}
-	// Device activity moves the measured rates feeding APT_r(w); surface it
-	// as snapshot dirtiness for incremental placement ticks.
-	m.Net.OnActivity = w.markDirty
-	m.Disk.OnActivity = w.markDirty
 	return w
 }
 
@@ -240,7 +206,6 @@ func (w *Worker) reserveTask(j *Job, t *dag.Task) {
 	for _, k := range resource.MonotaskKinds {
 		w.load[k] += taskKindEst(t, k)
 	}
-	w.markDirty()
 }
 
 // releaseTask frees the task's memory reservation when it completes.
@@ -252,7 +217,6 @@ func (w *Worker) releaseTask(t *dag.Task) {
 	delete(w.taskMem, t)
 	w.Machine.Mem.Unuse(tm.used)
 	w.Machine.Mem.FreeAlloc(tm.reserved)
-	w.markDirty()
 	w.maybeDrained()
 }
 
@@ -269,7 +233,6 @@ func (w *Worker) Enqueue(j *Job, mt *dag.Monotask) {
 	if !mt.Kind.Valid() || mt.Kind == resource.Mem {
 		panic(fmt.Sprintf("core: enqueue of non-monotask kind %v", mt.Kind))
 	}
-	w.markDirty()
 	w.enqSeq++
 	item := &queuedMT{
 		job:  j,
@@ -320,12 +283,10 @@ func (w *Worker) pump(k resource.Kind) {
 func (w *Worker) start(item *queuedMT, counted bool) {
 	mt := item.mt
 	mt.State = dag.MTRunning
-	w.markDirty() // core allocation / running counts change below
 	if counted {
 		w.running[mt.Kind]++
 	}
 	done := func(bytes, seconds float64) {
-		w.markDirty() // load, rates and concurrency slots change below
 		delete(w.active, mt)
 		w.rates[mt.Kind].sample(bytes, seconds)
 		if counted {
@@ -346,7 +307,6 @@ func (w *Worker) start(item *queuedMT, counted bool) {
 // tasks (with their owning jobs) for the scheduler to retry elsewhere.
 func (w *Worker) fail() map[*dag.Task]*Job {
 	w.failed = true
-	w.markDirty()
 	for _, abort := range w.active {
 		abort()
 	}
@@ -465,8 +425,8 @@ func (r *rateMonitor) deviation() float64 {
 
 // rateDecayEps is the relative distance from the nominal rate at which a
 // decaying estimate snaps back to exactly nominal, bounding the decay loop
-// (≈30 halvings from any starting point) and restoring the staleNever
-// fast path for idle workers.
+// (≈30 halvings from any starting point), so an idle worker's estimate
+// returns to exactly nominal.
 const rateDecayEps = 1e-9
 
 // roll commits elapsed windows, blending pending samples with the previous
@@ -483,10 +443,11 @@ const rateDecayEps = 1e-9
 // per-window steps whether the windows are observed one roll at a time or
 // all at once — so *what* the rate is at any virtual time is a function of
 // time and the sample history alone, never of how often the scheduler
-// happens to read it. Incremental snapshot refreshes
-// (Config.IncrementalSnapshots) rely on this: a clean worker's rate() is
-// provably unchanged until the boundary reported by nextChange, so
-// skipping the read is exact.
+// happens to read it. Reads are irregular: placement ticks stop while
+// nothing is pending, and every completion rolls the monitor before it
+// samples. A window that snapped to the read time would let that cadence,
+// rather than the measurements, decide when a window closes and so move
+// every later placement.
 func (r *rateMonitor) roll() {
 	now := r.loop.Now()
 	elapsed := now - r.windowStart
@@ -508,16 +469,4 @@ func (r *rateMonitor) roll() {
 		}
 	}
 	r.windowStart += elapsed / eventloop.Time(r.window) * eventloop.Time(r.window)
-}
-
-// nextChange returns the earliest virtual time at which the monitor's rate
-// can change without a further sample being recorded: the end of the
-// current window when unrolled samples are pending *or* the estimate is
-// displaced from nominal (the next boundary decays it), or never. Callers
-// must have read rate() (i.e. rolled) at the current time first.
-func (r *rateMonitor) nextChange() eventloop.Time {
-	if r.seconds <= 1e-9 && r.current == r.initial {
-		return staleNever
-	}
-	return r.windowStart + eventloop.Time(r.window)
 }

@@ -9,11 +9,11 @@ import (
 	"ursa/internal/workload"
 )
 
-// System-level equivalence for the sub-linear placement path (ISSUE 2) on
-// realistic workloads: every optimized configuration — incremental dirty
-// snapshots, top-K candidate index with K ≥ W, parallel ranking — must
-// reproduce the exact serial scheduler's results bit for bit, JCT by JCT,
-// on the paper cluster. Run under -race in CI.
+// System-level equivalence for the sub-linear placement path on realistic
+// workloads: every optimized configuration — top-K candidate index with
+// K ≥ W, parallel ranking, and both together — must reproduce the exact
+// serial scheduler's results bit for bit, JCT by JCT, on the paper
+// cluster. Run under -race in CI.
 
 // placementVariants are the optimized configurations that must be exact.
 func placementVariants() []struct {
@@ -24,11 +24,9 @@ func placementVariants() []struct {
 		name string
 		mod  func(*core.Config)
 	}{
-		{"incremental", func(c *core.Config) { c.IncrementalSnapshots = true }},
 		{"topk-exact", func(c *core.Config) { c.CandidateWorkers = 1 << 20 }},
 		{"parallel-rank", func(c *core.Config) { c.RankParallelism = 6 }},
 		{"all", func(c *core.Config) {
-			c.IncrementalSnapshots = true
 			c.CandidateWorkers = 1 << 20
 			c.RankParallelism = 6
 		}},
@@ -96,8 +94,8 @@ func TestEquivalenceSynthetic(t *testing.T) {
 
 // TestEquivalenceHetero re-proves the optimized paths' exactness at the
 // experiment level on the contended heterogeneous testbed — the setting
-// where interference-displaced measured rates and the penalty snapshot
-// stress the incremental refresh discipline — with the penalty off and on.
+// where interference-displaced measured rates feed the penalty snapshot —
+// with the penalty off and on.
 func TestEquivalenceHetero(t *testing.T) {
 	gen := func() *workload.Workload { return workload.TPCH(4, 10*eventloop.Second, 7) }
 	clusCfg := heteroPaperCluster(5, 0.1)
