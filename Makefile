@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test e2ebench-check race smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events bench bench-json bench-guard bench-wire bench-wire-guard bench-ingest bench-ingest-guard clean
+.PHONY: ci fmt-check vet build test e2ebench-check race smoke-dist smoke-failover smoke-elastic smoke-hetero chaos bench bench-json bench-guard bench-wire bench-wire-guard bench-ingest bench-ingest-guard clean
 
 ci: fmt-check vet build test e2ebench-check race smoke-dist smoke-failover smoke-elastic smoke-hetero chaos bench-wire-guard bench-ingest-guard
 
@@ -76,15 +76,6 @@ smoke-hetero:
 # invariant on a full peer partition. Runs under the race detector.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaosMatrix|TestPeerPartition' ./internal/remote
-
-# One-shot fuzz pass over the wire codec's seed corpus (no new inputs).
-fuzz-wire:
-	$(GO) test -run '^FuzzDecodeFrame$$' ./internal/wire
-
-# One-shot fuzz pass over the control-plane event codec's seed corpus. Add
-# -fuzz '^FuzzDecodeEvent$' to hunt for new crashers.
-fuzz-events:
-	$(GO) test -run '^FuzzDecodeEvent$$' ./internal/cpstate
 
 # Hot-path microbenchmarks with allocation counts.
 bench:

@@ -140,8 +140,8 @@ type Controller struct {
 	Drain func() bool
 	// Logf receives decision logs; nil disables logging.
 	Logf func(format string, args ...any)
-	// OnScale, if set, observes each decision (true = up); the master binds
-	// it to metrics.Elastic.ObserveScale.
+	// OnScale, if set, observes each decision (true = up); the master counts
+	// them in metrics.Elastic.ScaleUps/ScaleDowns.
 	OnScale func(up bool)
 
 	// launched counts provisioner starts issued, matched against

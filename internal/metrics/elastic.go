@@ -3,172 +3,62 @@ package metrics
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Elastic aggregates elastic-cluster observability: membership movement
 // (joins, drains in progress and completed), the bytes and partitions whose
 // fetch routing migrated off drained workers, the reservation corrector's
 // learned factors, and whether admission is paused for lack of live
-// capacity. Safe for concurrent use — the autoscaler ticks on the control
-// loop while drain completions land from reader goroutines.
+// capacity. Counters and gauges are atomic — the autoscaler ticks on the
+// control loop while drain completions land from reader goroutines.
 type Elastic struct {
-	mu sync.Mutex
+	Live     atomic.Int64 // workers currently able to take work
+	Draining atomic.Int64 // drains in progress
+	Drained  atomic.Int64 // drains completed (cumulative)
+	Joined   atomic.Int64 // mid-run joins (cumulative)
 
-	live     int // workers currently able to take work
-	draining int // drains in progress
-	drained  int // drains completed (cumulative)
-	joined   int // mid-run joins (cumulative)
-	failed   int // failures observed (cumulative)
+	ScaleUps   atomic.Int64 // autoscaler scale-up decisions
+	ScaleDowns atomic.Int64 // autoscaler scale-down decisions
 
-	scaleUps   int // autoscaler scale-up decisions
-	scaleDowns int // autoscaler scale-down decisions
+	MigratedParts atomic.Int64 // partitions rerouted to the canonical store by drain
+	MigratedBytes atomic.Int64 // committed blob bytes those partitions held
 
-	migratedParts int     // partitions rerouted to the canonical store by drain
-	migratedBytes float64 // committed blob bytes those partitions held
+	Paused atomic.Bool // admission paused: no live capacity
 
-	paused bool // admission paused: no live capacity
+	// Corrections counts reservation-correction observations folded in.
+	Corrections atomic.Int64
 
-	// corrections tracks the reservation corrector: observations folded in,
-	// and the min/max correction factor currently learned across workloads.
-	corrections int
-	factorMin   float64
-	factorMax   float64
+	// mu guards the min/max correction factor currently learned across
+	// workloads, which change together.
+	mu                   sync.Mutex
+	factorMin, factorMax float64
 }
 
 // NewElastic returns an empty elastic monitor.
 func NewElastic() *Elastic { return &Elastic{factorMin: 1, factorMax: 1} }
 
-// SetMembership records the current worker membership snapshot.
-func (e *Elastic) SetMembership(live, draining int) {
+// SetFactorRange records the correction factors the reservation corrector
+// now holds, spanning [min, max] across workloads.
+func (e *Elastic) SetFactorRange(min, max float64) {
 	e.mu.Lock()
-	e.live, e.draining = live, draining
-	e.mu.Unlock()
-}
-
-// ObserveJoin records one mid-run worker join.
-func (e *Elastic) ObserveJoin() {
-	e.mu.Lock()
-	e.joined++
-	e.mu.Unlock()
-}
-
-// Joined returns the cumulative mid-run join count.
-func (e *Elastic) Joined() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.joined
-}
-
-// ObserveDrainStart records a drain beginning.
-func (e *Elastic) ObserveDrainStart() {
-	e.mu.Lock()
-	e.draining++
-	e.mu.Unlock()
-}
-
-// ObserveDrainDone records a drain completing, with the committed blob
-// bytes and partition count whose fetch routing moved to the canonical
-// store.
-func (e *Elastic) ObserveDrainDone(parts int, bytes float64) {
-	e.mu.Lock()
-	if e.draining > 0 {
-		e.draining--
-	}
-	e.drained++
-	e.migratedParts += parts
-	e.migratedBytes += bytes
-	e.mu.Unlock()
-}
-
-// Drained returns the cumulative completed-drain count.
-func (e *Elastic) Drained() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.drained
-}
-
-// MigratedParts returns the cumulative partitions rerouted by drains.
-func (e *Elastic) MigratedParts() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.migratedParts
-}
-
-// ObserveFail records a worker failure.
-func (e *Elastic) ObserveFail() {
-	e.mu.Lock()
-	e.failed++
-	e.mu.Unlock()
-}
-
-// ObserveScale records an autoscaler decision: up (adding n workers) or
-// down (draining n workers).
-func (e *Elastic) ObserveScale(up bool) {
-	e.mu.Lock()
-	if up {
-		e.scaleUps++
-	} else {
-		e.scaleDowns++
-	}
-	e.mu.Unlock()
-}
-
-// ScaleUps returns the cumulative scale-up decision count.
-func (e *Elastic) ScaleUps() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scaleUps
-}
-
-// ScaleDowns returns the cumulative scale-down decision count.
-func (e *Elastic) ScaleDowns() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.scaleDowns
-}
-
-// SetPaused records whether admission is paused for lack of live capacity.
-func (e *Elastic) SetPaused(paused bool) {
-	e.mu.Lock()
-	e.paused = paused
-	e.mu.Unlock()
-}
-
-// Paused reports the last recorded admission-pause state.
-func (e *Elastic) Paused() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.paused
-}
-
-// ObserveCorrection folds one reservation-correction update: the corrector
-// observed a finished job and now holds factors spanning [min, max] across
-// workloads.
-func (e *Elastic) ObserveCorrection(min, max float64) {
-	e.mu.Lock()
-	e.corrections++
 	e.factorMin, e.factorMax = min, max
 	e.mu.Unlock()
 }
 
-// Corrections returns the cumulative correction-observation count.
-func (e *Elastic) Corrections() int {
+// StatsLine renders a one-line elastic summary for periodic master logs;
+// failed is the cumulative worker-failure count.
+func (e *Elastic) StatsLine(failed int) string {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.corrections
-}
-
-// StatsLine renders a one-line elastic summary for periodic master logs.
-func (e *Elastic) StatsLine() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	factorMin, factorMax := e.factorMin, e.factorMax
+	e.mu.Unlock()
 	paused := 0
-	if e.paused {
+	if e.Paused.Load() {
 		paused = 1
 	}
 	return fmt.Sprintf(
-		"elastic: live=%d draining=%d drained=%d joined=%d failed=%d scale_up=%d scale_down=%d migrated=%d parts (%.0f B) paused=%d corr=%d factor=[%.2f,%.2f]",
-		e.live, e.draining, e.drained, e.joined, e.failed,
-		e.scaleUps, e.scaleDowns, e.migratedParts, e.migratedBytes,
-		paused, e.corrections, e.factorMin, e.factorMax)
+		"elastic: live=%d draining=%d drained=%d joined=%d failed=%d scale_up=%d scale_down=%d migrated=%d parts (%d B) paused=%d corr=%d factor=[%.2f,%.2f]",
+		e.Live.Load(), e.Draining.Load(), e.Drained.Load(), e.Joined.Load(), failed,
+		e.ScaleUps.Load(), e.ScaleDowns.Load(), e.MigratedParts.Load(), e.MigratedBytes.Load(),
+		paused, e.Corrections.Load(), factorMin, factorMax)
 }

@@ -2,128 +2,57 @@ package metrics
 
 import (
 	"fmt"
-	"sync"
+	"math"
+	"sync/atomic"
 )
 
 // Ingest aggregates front-door observability for the master's submission
 // path: intake and admission counters, status-stream drops, and the
-// tenant-fairness gauge. Safe for concurrent use — client read goroutines
+// tenant-fairness gauge. Every field is atomic — client read goroutines
 // record submissions and drops off the control loop while the admission
-// pump records batches on it.
+// pump records batches on it. The zero value is ready to use.
 type Ingest struct {
-	mu sync.Mutex
-
-	clients     int // client connections ever accepted
-	submissions int // SubmitJob frames accepted (acked with a job ID)
-	rejected    int // SubmitJob frames rejected (intake full, draining, bad workload)
-	cancels     int // CancelJob frames that cancelled a queued job
-	batches     int // admission batches flushed through the scheduler
-	batchedJobs int // jobs carried by those batches
-	statusDrops int // JobStatus frames dropped on full client send queues
+	Clients     atomic.Int64 // client connections ever accepted
+	Submissions atomic.Int64 // SubmitJob frames accepted (acked with a job ID)
+	Rejected    atomic.Int64 // SubmitJob frames rejected (intake full, draining, bad workload)
+	Cancels     atomic.Int64 // CancelJob frames that cancelled a queued job
+	Batches     atomic.Int64 // admission batches flushed through the scheduler
+	BatchedJobs atomic.Int64 // jobs carried by those batches
+	Drops       atomic.Int64 // JobStatus frames dropped on full client send queues
 
 	// shareErr is the latest sampled per-tenant share error (see
-	// core.ShareError); shareErrMax the worst observed.
-	shareErr    float64
-	shareErrMax float64
+	// core.ShareError); shareErrMax the worst observed. Both hold
+	// math.Float64bits.
+	shareErr, shareErrMax atomic.Uint64
 }
 
-// NewIngest returns an empty ingest monitor.
-func NewIngest() *Ingest { return &Ingest{} }
-
-// ObserveClient records an accepted client connection.
-func (g *Ingest) ObserveClient() {
-	g.mu.Lock()
-	g.clients++
-	g.mu.Unlock()
-}
-
-// ObserveSubmission records an accepted (acked) submission.
-func (g *Ingest) ObserveSubmission() {
-	g.mu.Lock()
-	g.submissions++
-	g.mu.Unlock()
-}
-
-// ObserveRejection records a rejected submission.
-func (g *Ingest) ObserveRejection() {
-	g.mu.Lock()
-	g.rejected++
-	g.mu.Unlock()
-}
-
-// ObserveCancel records a successful queued-job cancellation.
-func (g *Ingest) ObserveCancel() {
-	g.mu.Lock()
-	g.cancels++
-	g.mu.Unlock()
-}
-
-// ObserveBatch records one admission batch of n jobs flushed through the
-// scheduler loop.
-func (g *Ingest) ObserveBatch(n int) {
-	g.mu.Lock()
-	g.batches++
-	g.batchedJobs += n
-	g.mu.Unlock()
-}
-
-// ObserveStatusDrop records JobStatus frames dropped because a subscriber's
-// bounded send queue was full.
-func (g *Ingest) ObserveStatusDrop(n int) {
-	g.mu.Lock()
-	g.statusDrops += n
-	g.mu.Unlock()
-}
-
-// ObserveShareError records a sampled per-tenant share error.
+// ObserveShareError records a sampled per-tenant share error. Samples come
+// from the control loop only, so the max needs no compare-and-swap.
 func (g *Ingest) ObserveShareError(e float64) {
-	g.mu.Lock()
-	g.shareErr = e
-	if e > g.shareErrMax {
-		g.shareErrMax = e
+	g.shareErr.Store(math.Float64bits(e))
+	if e > math.Float64frombits(g.shareErrMax.Load()) {
+		g.shareErrMax.Store(math.Float64bits(e))
 	}
-	g.mu.Unlock()
-}
-
-// Submissions returns the accepted-submission count.
-func (g *Ingest) Submissions() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.submissions
 }
 
 // StatusDrops returns the dropped JobStatus frame count.
-func (g *Ingest) StatusDrops() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.statusDrops
-}
-
-// ShareError returns the (latest, max) sampled per-tenant share error.
-func (g *Ingest) ShareError() (last, max float64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.shareErr, g.shareErrMax
-}
+func (g *Ingest) StatusDrops() int { return int(g.Drops.Load()) }
 
 // BatchStats returns (batches flushed, jobs carried). The mean batch size —
 // jobs/batches — is the amortization factor of the batched admission pipe.
 func (g *Ingest) BatchStats() (batches, jobs int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.batches, g.batchedJobs
+	return int(g.Batches.Load()), int(g.BatchedJobs.Load())
 }
 
 // StatsLine renders a one-line front-door summary for periodic master logs.
 func (g *Ingest) StatsLine() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	batches, jobs := g.BatchStats()
 	meanBatch := 0.0
-	if g.batches > 0 {
-		meanBatch = float64(g.batchedJobs) / float64(g.batches)
+	if batches > 0 {
+		meanBatch = float64(jobs) / float64(batches)
 	}
 	return fmt.Sprintf(
 		"ingest: clients=%d subs=%d rej=%d cancel=%d batches=%d (mean %.1f jobs) status_drops=%d share_err=%.3f (max %.3f)",
-		g.clients, g.submissions, g.rejected, g.cancels, g.batches, meanBatch,
-		g.statusDrops, g.shareErr, g.shareErrMax)
+		g.Clients.Load(), g.Submissions.Load(), g.Rejected.Load(), g.Cancels.Load(), batches, meanBatch,
+		g.Drops.Load(), math.Float64frombits(g.shareErr.Load()), math.Float64frombits(g.shareErrMax.Load()))
 }

@@ -5,18 +5,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"ursa/internal/trace"
-)
-
-// Transport series names for the trace feed.
-const (
-	SeriesHBAge   = "[NET]HeartbeatAgeMax_s"
-	SeriesRTT     = "[NET]DispatchRTT_ms"
-	SeriesWireMB  = "[NET]ShuffleWire_MB"
-	SeriesRawMB   = "[NET]ShuffleRaw_MB"
-	SeriesInFlite = "[NET]InFlight"
 )
 
 // Transport aggregates data-plane observability for the distributed mode:
@@ -24,23 +14,19 @@ const (
 // over the wire, and connection failure counters. It is safe for concurrent
 // use — the master's fetch server records served bytes off the control
 // loop while everything else arrives on it.
+//
+// Cluster totals are sums over the per-worker entries, taken at read time.
+// Entries are never deleted, worker IDs are never reused and a worker is
+// declared dead at most once, so the sums are exact.
 type Transport struct {
+	// ServedWire counts shuffle payload bytes the master's own fetch server
+	// handed to workers, as they crossed the network; ServedRaw is the
+	// uncompressed encoded size of the same blobs.
+	ServedWire, ServedRaw atomic.Int64
+
 	mu      sync.Mutex
 	workers map[int]*WorkerTransport
-
-	registers      int
-	failures       int
-	dispatches     int
-	completions    int
-	fetchRetries   int
-	fetchFallbacks int
-	wireBytes      float64
-	rawBytes       float64
-	servedBytes    float64
-	servedRawBytes float64
-	rttEWMA        float64
-
-	series *trace.TimeSeries
+	rttEWMA float64 // cluster-wide dispatch→completion round trip, seconds
 }
 
 // WorkerTransport is one worker's transport counters.
@@ -70,10 +56,7 @@ type WorkerTransport struct {
 
 // NewTransport returns an empty transport monitor.
 func NewTransport() *Transport {
-	return &Transport{
-		workers: make(map[int]*WorkerTransport),
-		series:  trace.New(SeriesHBAge, SeriesRTT, SeriesWireMB, SeriesRawMB, SeriesInFlite),
-	}
+	return &Transport{workers: make(map[int]*WorkerTransport)}
 }
 
 func (t *Transport) worker(id int) *WorkerTransport {
@@ -89,9 +72,7 @@ func (t *Transport) worker(id int) *WorkerTransport {
 func (t *Transport) ObserveRegister(id int, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.registers++
-	w := t.worker(id)
-	w.LastHeartbeat = now
+	t.worker(id).LastHeartbeat = now
 }
 
 // ObserveHeartbeat records a liveness beacon from a worker.
@@ -107,7 +88,6 @@ func (t *Transport) ObserveHeartbeat(id int, now time.Time) {
 func (t *Transport) ObserveDispatch(id int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.dispatches++
 	t.worker(id).Dispatches++
 }
 
@@ -119,24 +99,21 @@ func (t *Transport) ObserveDispatch(id int) {
 func (t *Transport) ObserveCompletion(id int, rtt, wireBytes, rawBytes float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.completions++
-	t.wireBytes += wireBytes
-	t.rawBytes += rawBytes
 	w := t.worker(id)
 	w.Completions++
 	w.WireBytes += wireBytes
 	w.RawBytes += rawBytes
+	w.RTTEWMA = ewma(w.RTTEWMA, rtt)
+	t.rttEWMA = ewma(t.rttEWMA, rtt)
+}
+
+// ewma folds sample x into the α = 0.2 moving average avg (0: no samples).
+func ewma(avg, x float64) float64 {
 	const alpha = 0.2
-	if w.RTTEWMA == 0 {
-		w.RTTEWMA = rtt
-	} else {
-		w.RTTEWMA = alpha*rtt + (1-alpha)*w.RTTEWMA
+	if avg == 0 {
+		return x
 	}
-	if t.rttEWMA == 0 {
-		t.rttEWMA = rtt
-	} else {
-		t.rttEWMA = alpha*rtt + (1-alpha)*t.rttEWMA
-	}
+	return alpha*x + (1-alpha)*avg
 }
 
 // ObserveFetchDegradation folds a completion's reported fetch degradation
@@ -149,25 +126,9 @@ func (t *Transport) ObserveFetchDegradation(id, retries, fallbacks int) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.fetchRetries += retries
-	t.fetchFallbacks += fallbacks
 	w := t.worker(id)
 	w.FetchRetries += retries
 	w.FetchFallbacks += fallbacks
-}
-
-// FetchRetries returns the total reported shuffle fetch retries.
-func (t *Transport) FetchRetries() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fetchRetries
-}
-
-// FetchFallbacks returns the total reported master-store fetch fallbacks.
-func (t *Transport) FetchFallbacks() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fetchFallbacks
 }
 
 // ObserveFailure records a worker declared dead (heartbeat timeout or
@@ -175,18 +136,7 @@ func (t *Transport) FetchFallbacks() int {
 func (t *Transport) ObserveFailure(id int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.failures++
 	t.worker(id).Failed = true
-}
-
-// ObserveServedBytes records shuffle payload bytes the master's own fetch
-// server handed to workers: wire is what crossed the network, raw the
-// uncompressed encoded size of the same blobs.
-func (t *Transport) ObserveServedBytes(wire, raw float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.servedBytes += wire
-	t.servedRawBytes += raw
 }
 
 // HeartbeatAges returns the age of each live worker's last heartbeat. A
@@ -221,73 +171,74 @@ func (t *Transport) Worker(id int) WorkerTransport {
 	return WorkerTransport{}
 }
 
+// totals sums every worker's counters; failures counts the dead ones.
+func (t *Transport) totals() (sum WorkerTransport, failures int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.totalsLocked()
+}
+
+func (t *Transport) totalsLocked() (sum WorkerTransport, failures int) {
+	for _, w := range t.workers {
+		sum.Dispatches += w.Dispatches
+		sum.Completions += w.Completions
+		sum.WireBytes += w.WireBytes
+		sum.RawBytes += w.RawBytes
+		sum.FetchRetries += w.FetchRetries
+		sum.FetchFallbacks += w.FetchFallbacks
+		if w.Failed {
+			failures++
+		}
+	}
+	return sum, failures
+}
+
 // WireBytes returns the total shuffle payload bytes workers reported
 // fetching over the wire.
 func (t *Transport) WireBytes() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.wireBytes
+	s, _ := t.totals()
+	return s.WireBytes
 }
 
 // RawBytes returns the uncompressed encoded size of the payloads behind
 // WireBytes — equal to it unless compression is negotiated.
 func (t *Transport) RawBytes() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rawBytes
+	s, _ := t.totals()
+	return s.RawBytes
 }
 
-// ServedBytes returns the master fetch server's (wire, raw) served totals.
-func (t *Transport) ServedBytes() (wire, raw float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.servedBytes, t.servedRawBytes
+// FetchRetries returns the total reported shuffle fetch retries.
+func (t *Transport) FetchRetries() int {
+	s, _ := t.totals()
+	return s.FetchRetries
+}
+
+// FetchFallbacks returns the total reported master-store fetch fallbacks.
+func (t *Transport) FetchFallbacks() int {
+	s, _ := t.totals()
+	return s.FetchFallbacks
 }
 
 // Failures returns the worker-failure count.
 func (t *Transport) Failures() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.failures
+	_, n := t.totals()
+	return n
 }
 
-// Sample appends the current aggregates to the transport trace at time ts
-// (seconds).
-func (t *Transport) Sample(ts float64, now time.Time) {
-	t.mu.Lock()
-	var maxAge float64
-	for _, w := range t.workers {
-		if w.Failed || w.LastHeartbeat.IsZero() {
-			continue
-		}
-		if age := now.Sub(w.LastHeartbeat).Seconds(); age > maxAge {
-			maxAge = age
-		}
-	}
-	t.series.Add(ts, map[string]float64{
-		SeriesHBAge:   maxAge,
-		SeriesRTT:     t.rttEWMA * 1e3,
-		SeriesWireMB:  t.wireBytes / 1e6,
-		SeriesRawMB:   t.rawBytes / 1e6,
-		SeriesInFlite: float64(t.dispatches - t.completions),
-	})
-	t.mu.Unlock()
+// ServedBytes returns the master fetch server's (wire, raw) served totals.
+func (t *Transport) ServedBytes() (wire, raw float64) {
+	return float64(t.ServedWire.Load()), float64(t.ServedRaw.Load())
 }
-
-// Trace returns the transport time series fed by Sample.
-func (t *Transport) Trace() *trace.TimeSeries { return t.series }
 
 // StatsLine renders a one-line transport summary for periodic master logs.
 func (t *Transport) StatsLine(now time.Time) string {
+	served, _ := t.ServedBytes()
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	sum, failures := t.totalsLocked()
 	ids := make([]int, 0, len(t.workers))
-	alive := 0
-	for id, w := range t.workers {
+	for id := range t.workers {
 		ids = append(ids, id)
-		if !w.Failed {
-			alive++
-		}
 	}
 	sort.Ints(ids)
 	var hb strings.Builder
@@ -307,7 +258,7 @@ func (t *Transport) StatsLine(now time.Time) string {
 	}
 	return fmt.Sprintf(
 		"transport: workers=%d/%d hb_age[%s] rtt=%.1fms wire=%.2fMB raw=%.2fMB served=%.2fMB disp=%d comp=%d fail=%d retry=%d fallback=%d",
-		alive, len(t.workers), hb.String(), t.rttEWMA*1e3,
-		t.wireBytes/1e6, t.rawBytes/1e6, t.servedBytes/1e6, t.dispatches, t.completions, t.failures,
-		t.fetchRetries, t.fetchFallbacks)
+		len(t.workers)-failures, len(t.workers), hb.String(), t.rttEWMA*1e3,
+		sum.WireBytes/1e6, sum.RawBytes/1e6, served/1e6, sum.Dispatches, sum.Completions, failures,
+		sum.FetchRetries, sum.FetchFallbacks)
 }

@@ -48,10 +48,10 @@ func TestDrainMidJobNoFallbacks(t *testing.T) {
 
 	runCluster(t, lc)
 
-	if got := lc.Master.Elastic.Drained(); got != 1 {
+	if got := lc.Master.Elastic.Drained.Load(); got != 1 {
 		t.Fatalf("drained workers = %d, want 1", got)
 	}
-	if got := lc.Master.Elastic.MigratedParts(); got < 1 {
+	if got := lc.Master.Elastic.MigratedParts.Load(); got < 1 {
 		t.Fatalf("migrated partitions = %d, want >= 1 (the worker committed in-flight work)", got)
 	}
 	if got := lc.Master.Transport.Failures(); got != 0 {
@@ -115,7 +115,7 @@ func TestElasticDrainAndKillChaos(t *testing.T) {
 	if got := lc.Master.Transport.Failures(); got != 1 {
 		t.Fatalf("worker failures = %d, want exactly 1 (the kill, not the drain)", got)
 	}
-	if got := lc.Master.Elastic.Drained(); got != 1 {
+	if got := lc.Master.Elastic.Drained.Load(); got != 1 {
 		t.Fatalf("drained workers = %d, want 1", got)
 	}
 	got, err := wcJob.ResultRows()
@@ -191,10 +191,10 @@ func TestElasticJoinDrainReplayDeterminism(t *testing.T) {
 		t.Fatalf("mid-run join: %v", err)
 	}
 
-	if got := lc.Master.Elastic.Joined(); got != 1 {
+	if got := lc.Master.Elastic.Joined.Load(); got != 1 {
 		t.Fatalf("joined workers = %d, want 1", got)
 	}
-	if got := lc.Master.Elastic.Drained(); got != 1 {
+	if got := lc.Master.Elastic.Drained.Load(); got != 1 {
 		t.Fatalf("drained workers = %d, want 1", got)
 	}
 	if got := lc.Master.Transport.FetchFallbacks(); got != 0 {
@@ -293,20 +293,20 @@ func TestElasticAutoscaleLoopback(t *testing.T) {
 	}
 
 	// Scale-up: pressure must provision up to MaxWorkers — 3 mid-run joins.
-	waitFor(t, "3 elastic joins", func() bool { return lc.Master.Elastic.Joined() >= 3 })
+	waitFor(t, "3 elastic joins", func() bool { return lc.Master.Elastic.Joined.Load() >= 3 })
 	for _, id := range ids {
 		log.waitState(t, id, wire.StateFinished)
 	}
 	// Scale-down: with the queue empty and reservations released, the
 	// hysteresis elapses and the autoscaler drains back to MinWorkers.
-	waitFor(t, "3 graceful scale-down drains", func() bool { return lc.Master.Elastic.Drained() >= 3 })
+	waitFor(t, "3 graceful scale-down drains", func() bool { return lc.Master.Elastic.Drained.Load() >= 3 })
 
-	if got := lc.Master.Elastic.ScaleUps(); got < 1 {
+	if got := lc.Master.Elastic.ScaleUps.Load(); got < 1 {
 		t.Fatalf("scale-up decisions = %d, want >= 1", got)
 	}
 	// A drain's completion is observed before the controller logs the
 	// decision that caused it, so the counter can trail Drained by one tick.
-	waitFor(t, "3 scale-down decisions", func() bool { return lc.Master.Elastic.ScaleDowns() >= 3 })
+	waitFor(t, "3 scale-down decisions", func() bool { return lc.Master.Elastic.ScaleDowns.Load() >= 3 })
 	if got := lc.Master.Transport.Failures(); got != 0 {
 		t.Fatalf("autoscaling caused %d worker failures, want 0", got)
 	}
@@ -334,7 +334,7 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 	waitFor(t, "work in flight", func() bool { return lc.Master.Transport.Worker(0).Dispatches > 0 })
 	lc.Agents[0].Kill()
 	waitFor(t, "worker failure detected", func() bool { return lc.Master.Transport.Failures() == 1 })
-	waitFor(t, "admission paused", func() bool { return lc.Master.Elastic.Paused() })
+	waitFor(t, "admission paused", func() bool { return lc.Master.Elastic.Paused.Load() })
 
 	// Capacity returns: a fresh worker joins the running cluster and the
 	// stalled backlog resumes on it.
@@ -352,7 +352,7 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("run did not complete after the replacement worker joined")
 	}
-	if got := lc.Master.Elastic.Joined(); got != 1 {
+	if got := lc.Master.Elastic.Joined.Load(); got != 1 {
 		t.Fatalf("joined workers = %d, want 1", got)
 	}
 	got, err := job.ResultRows()
@@ -389,7 +389,7 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 		t.Fatalf("joining agent: %v", err)
 	}
 	t.Cleanup(a.Kill)
-	waitFor(t, "elastic join", func() bool { return lc.Master.Elastic.Joined() == 1 })
+	waitFor(t, "elastic join", func() bool { return lc.Master.Elastic.Joined.Load() == 1 })
 
 	log.waitState(t, jobID, wire.StateFinished)
 	if got := lc.Master.Transport.Failures(); got != 0 {
@@ -433,7 +433,7 @@ func TestReserveCorrectionLearns(t *testing.T) {
 		log.waitState(t, id, wire.StateFinished)
 	}
 
-	if got := lc.Master.Elastic.Corrections(); got < 3 {
+	if got := lc.Master.Elastic.Corrections.Load(); got < 3 {
 		t.Fatalf("correction observations = %d, want >= 3", got)
 	}
 	if f := lc.Master.corrector.Factor("micro"); f >= 1 {

@@ -266,7 +266,7 @@ func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, do
 			if cancelled {
 				return
 			}
-			e.m.Journal.ObservePrecommit()
+			e.m.Journal.Precommits.Add(1)
 			done(bytes, seconds)
 		})
 		return func() { cancelled = true }
@@ -391,7 +391,7 @@ func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
 		// Stale: aborted, re-dispatched, duplicate, or minted by a previous
 		// generation (seq namespaces never collide across takeovers, so an
 		// old master's token can never match a new dispatch).
-		e.m.Journal.ObserveDupCommit()
+		e.m.Journal.DupCommits.Add(1)
 		return
 	}
 	delete(e.dispatches, key)

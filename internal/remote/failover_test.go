@@ -125,7 +125,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	}
 
 	if err := tm.Run(ctx); err != nil {
-		t.Fatalf("takeover run: %v (journal: %s)", err, tm.Journal.StatsLine())
+		t.Fatalf("takeover run: %v (journal: %s)", err, tm.Journal.StatsLine(tm.Generation()))
 	}
 
 	// Every inherited job's rows must match direct execution exactly.
@@ -140,7 +140,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	}
 
 	// Workers re-attached under the new generation, keeping their IDs.
-	if n := tm.Journal.Reattaches(); n != 3 {
+	if n := tm.Journal.Reattaches.Load(); n != 3 {
 		t.Fatalf("reattaches = %d, want 3", n)
 	}
 	for i, a := range agents {
@@ -150,7 +150,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	}
 	// The journaled gen-1 commits were recovered into the canonical store
 	// and short-circuited instead of re-executing.
-	if n := tm.Journal.Precommits(); n < 1 {
+	if n := tm.Journal.Precommits.Load(); n < 1 {
 		t.Fatalf("precommits = %d, want >= 1", n)
 	}
 
@@ -311,7 +311,7 @@ func TestJobStatusNotFound(t *testing.T) {
 	if st.State != wire.StateNotFound {
 		t.Fatalf("unknown job state = %d, want StateNotFound", st.State)
 	}
-	if lc.Master.Journal.NotFoundReads() == 0 {
+	if lc.Master.Journal.NotFoundReads.Load() == 0 {
 		t.Fatal("not-found read was not counted")
 	}
 

@@ -26,7 +26,7 @@ import (
 // slow subscriber's queue is full.
 type frontDoor struct {
 	m      *Master
-	Ingest *metrics.Ingest
+	Ingest metrics.Ingest
 
 	shards  []intakeShard
 	queued  atomic.Int64 // intake entries accepted but not yet flushed
@@ -94,7 +94,6 @@ type feJob struct {
 func newFrontDoor(m *Master) *frontDoor {
 	fd := &frontDoor{
 		m:       m,
-		Ingest:  metrics.NewIngest(),
 		shards:  make([]intakeShard, nIntakeShards),
 		notify:  make(chan struct{}, 1),
 		started: make(chan struct{}),
@@ -103,7 +102,6 @@ func newFrontDoor(m *Master) *frontDoor {
 		byID:    make(map[int64]*feJob),
 		byCore:  make(map[*core.Job]*feJob),
 	}
-	fd.naive.Store(m.cfg.NaiveAdmission)
 	// The job-state hook is installed by the master (it records the
 	// control-plane event first, then delegates here for status streaming).
 	go fd.pump()
@@ -141,7 +139,7 @@ func (fd *frontDoor) serveClient(c *wire.Conn, first wire.Msg) {
 	fd.mu.Lock()
 	fd.clients[link] = struct{}{}
 	fd.mu.Unlock()
-	fd.Ingest.ObserveClient()
+	fd.Ingest.Clients.Add(1)
 	fd.handleClientMsg(link, first)
 	c.ReadLoop(func(msg wire.Msg) error {
 		fd.handleClientMsg(link, msg)
@@ -184,17 +182,17 @@ func (fd *frontDoor) queryJob(link *clientLink, q wire.JobQuery) {
 			state, detail = wire.StateCancelled, "cancelled"
 		}
 	} else {
-		fd.m.Journal.ObserveNotFound()
+		fd.m.Journal.NotFoundReads.Add(1)
 	}
 	if !link.conn.TrySend(wire.JobStatus{
 		SubmitID: q.SubmitID, JobID: q.JobID, State: state, Detail: detail,
 	}) {
-		fd.Ingest.ObserveStatusDrop(1)
+		fd.Ingest.Drops.Add(1)
 	}
 }
 
 func (fd *frontDoor) reject(link *clientLink, submitID int64, reason string) {
-	fd.Ingest.ObserveRejection()
+	fd.Ingest.Rejected.Add(1)
 	link.conn.Send(wire.SubmitAck{SubmitID: submitID, Err: reason})
 }
 
@@ -361,7 +359,8 @@ func (fd *frontDoor) submitBatch(batch []intakeSub, after func()) int {
 		return 0
 	}
 	fd.m.exec.stagePending(recs...)
-	fd.Ingest.ObserveBatch(len(subs))
+	fd.Ingest.Batches.Add(1)
+	fd.Ingest.BatchedJobs.Add(int64(len(subs)))
 	fd.m.Sys.SubmitBatch(subs, after)
 	return len(subs)
 }
@@ -412,7 +411,7 @@ func (fd *frontDoor) bindJob(link *clientLink, submitID int64, tenant string, j 
 	fd.byID[rec.wireID] = fe
 	fd.byCore[j.Core] = fe
 	fd.mu.Unlock()
-	fd.Ingest.ObserveSubmission()
+	fd.Ingest.Submissions.Add(1)
 	link.conn.Send(wire.SubmitAck{SubmitID: submitID, JobID: rec.wireID})
 }
 
@@ -457,7 +456,7 @@ func (fd *frontDoor) sendStatus(fe *feJob, state byte, detail string) {
 		State: state, Detail: detail,
 	})
 	if !ok {
-		fd.Ingest.ObserveStatusDrop(1)
+		fd.Ingest.Drops.Add(1)
 	}
 }
 
@@ -479,7 +478,7 @@ func (fd *frontDoor) cancelJob(jobID int64) {
 			return
 		}
 		if fd.m.Sys.Core.CancelJob(fe.job.Core) {
-			fd.Ingest.ObserveCancel()
+			fd.Ingest.Cancels.Add(1)
 		}
 	})
 }
@@ -505,7 +504,7 @@ func (fd *frontDoor) drain() {
 		fd.mu.Unlock()
 		for _, fe := range queued {
 			if fd.m.Sys.Core.CancelJob(fe.job.Core) {
-				fd.Ingest.ObserveCancel()
+				fd.Ingest.Cancels.Add(1)
 			}
 		}
 		fd.maybeFinishDrain()

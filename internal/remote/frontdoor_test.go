@@ -10,7 +10,6 @@ import (
 
 	"ursa/internal/core"
 	"ursa/internal/live"
-	"ursa/internal/metrics"
 	"ursa/internal/remote/workload"
 	"ursa/internal/wire"
 )
@@ -104,7 +103,7 @@ func TestFrontDoorSubmitLifecycle(t *testing.T) {
 	}
 	log.waitState(t, jobID, wire.StateAdmitted)
 
-	if got := lc.Master.Ingest().Submissions(); got != 1 {
+	if got := lc.Master.Ingest().Submissions.Load(); got != 1 {
 		t.Errorf("ingest submissions = %d, want 1", got)
 	}
 	lc.Master.Drain()
@@ -215,7 +214,7 @@ func TestFrontDoorChurn(t *testing.T) {
 	wg.Wait()
 	lc.Master.Drain()
 	waitRun(t, runErr)
-	if got := lc.Master.Ingest().Submissions(); got != clients*jobsPer {
+	if got := lc.Master.Ingest().Submissions.Load(); got != int64(clients*jobsPer) {
 		t.Errorf("ingest submissions = %d, want %d", got, clients*jobsPer)
 	}
 }
@@ -230,7 +229,7 @@ func TestFrontDoorStatusDropCounter(t *testing.T) {
 	// queue, later ones must drop.
 	conn := wire.NewConnConfig(a, wire.Config{SendQueue: 1})
 	defer conn.Close()
-	fd := &frontDoor{Ingest: metrics.NewIngest()}
+	fd := &frontDoor{}
 	fe := &feJob{link: &clientLink{conn: conn}, submitID: 1,
 		job: &live.Job{Core: &core.Job{ID: 7}}}
 	for i := 0; i < 16; i++ {

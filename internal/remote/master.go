@@ -133,11 +133,6 @@ type Config struct {
 	// frames of buffer; further JobStatus frames are dropped and counted
 	// (Ingest.StatusDrops) rather than buffered or fatal. Default 256.
 	ClientSendQueue int
-	// NaiveAdmission disables intake batching: every submission takes its
-	// own driver crossing and full admission pass. The one-lock-per-submit
-	// baseline the ingest benchmark compares against; never set in real
-	// deployments.
-	NaiveAdmission bool
 	// Elastic enables cluster elasticity: graceful drains (DrainWorker) and
 	// mid-run worker joins — a fresh agent registering against a full,
 	// running master grows the registry instead of being rejected. An
@@ -290,9 +285,9 @@ type Master struct {
 	// Transport aggregates the data-plane counters (satellite: per-worker
 	// heartbeat age, RTT, wire bytes, failures).
 	Transport *metrics.Transport
-	// Journal aggregates the control-plane state-machine counters:
-	// generation, events applied/journaled/replayed, snapshots, duplicate
-	// commits rejected, precommits short-circuited, worker re-attaches.
+	// Journal aggregates the control-plane state-machine counters: events
+	// applied/journaled/replayed, snapshots, duplicate commits rejected,
+	// precommits short-circuited, worker re-attaches.
 	Journal *metrics.Journal
 	// Elastic aggregates the elasticity counters: membership movement,
 	// drain migrations, autoscaler decisions, reservation corrections.
@@ -330,7 +325,6 @@ type Master struct {
 	nreg    int
 	jobs    []*RemoteJob
 	started bool
-	start   time.Time
 
 	closeOnce sync.Once
 }
@@ -374,7 +368,7 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 	m := &Master{
 		cfg:       cfg,
 		Transport: metrics.NewTransport(),
-		Journal:   metrics.NewJournal(),
+		Journal:   new(metrics.Journal),
 		Elastic:   metrics.NewElastic(),
 		ready:     make(chan struct{}),
 		workers:   make([]*workerLink, cfg.Workers),
@@ -414,7 +408,6 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 	}
 	m.rec = newRecorder(st, m.jnl, m.Journal, cfg.SnapshotEvery)
 	m.rec.record(cpstate.Generation{Gen: m.gen})
-	m.Journal.SetGeneration(m.gen)
 
 	m.needed = cfg.Workers
 	if tk != nil {
@@ -459,7 +452,10 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 	}
 	m.shuffleSrv, err = shuffle.Listen(cfg.ShuffleAddr, shuffle.ServerConfig{
 		MaxFrame: cfg.MaxFrame, ReadIdle: cfg.ShuffleReadIdle, Listen: cfg.Listen,
-	}, m.resolveJob, m.Transport.ObserveServedBytes)
+	}, m.resolveJob, func(wire, raw float64) {
+		m.Transport.ServedWire.Add(int64(wire))
+		m.Transport.ServedRaw.Add(int64(raw))
+	})
 	if err != nil {
 		m.ln.Close()
 		return nil, err
@@ -539,7 +535,8 @@ func (m *Master) onJobState(j *core.Job) {
 			m.rec.record(cpstate.JobFinished{JobID: rec.wireID})
 			if m.corrector != nil {
 				m.corrector.Observe(rec.name, rec.reserved, rec.memPeak)
-				m.Elastic.ObserveCorrection(m.corrector.Range())
+				m.Elastic.Corrections.Add(1)
+				m.Elastic.SetFactorRange(m.corrector.Range())
 			}
 		case core.JobCancelled:
 			m.rec.record(cpstate.JobCancelled{JobID: rec.wireID})
@@ -567,7 +564,7 @@ func (m *Master) Ingest() *metrics.Ingest {
 	if m.fd == nil {
 		return nil
 	}
-	return m.fd.Ingest
+	return &m.fd.Ingest
 }
 
 // SetNaiveAdmission switches the front door between the batched admission
@@ -767,7 +764,7 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 		Worker: int32(id), ShuffleAddr: reg.ShuffleAddr, Cores: reg.Cores,
 	})
 	if reattach {
-		m.Journal.ObserveReattach()
+		m.Journal.Reattaches.Add(1)
 	}
 	m.Transport.ObserveRegister(id, time.Now())
 	c.Send(wire.Welcome{
@@ -854,7 +851,7 @@ func (m *Master) elasticJoin(nc net.Conn, c *wire.Conn, reg wire.Register) {
 		m.rec.record(cpstate.WorkerJoined{
 			Worker: int32(id), ShuffleAddr: reg.ShuffleAddr, Cores: reg.Cores,
 		})
-		m.Elastic.ObserveJoin()
+		m.Elastic.Joined.Add(1)
 		m.Transport.ObserveRegister(id, time.Now())
 		c.Send(wire.Welcome{
 			WorkerID:          int32(id),
@@ -909,7 +906,6 @@ func (m *Master) beginDrain(id int, reason string) {
 	}
 	link.draining = true
 	m.rec.record(cpstate.WorkerDraining{Worker: int32(id)})
-	m.Elastic.ObserveDrainStart()
 	m.logf("master: draining worker %d (%s)", id, reason)
 	if link.conn != nil {
 		link.conn.Send(wire.DrainWorker{WorkerID: int32(id), Reason: reason})
@@ -961,7 +957,9 @@ func (m *Master) maybeFinishDrain(id int) {
 	link.drained = true
 	parts, bytes := m.exec.migrateOrigins(id)
 	m.rec.record(cpstate.WorkerDrained{Worker: int32(id)})
-	m.Elastic.ObserveDrainDone(parts, bytes)
+	m.Elastic.Drained.Add(1)
+	m.Elastic.MigratedParts.Add(int64(parts))
+	m.Elastic.MigratedBytes.Add(int64(bytes))
 	m.logf("master: worker %d drained (%d partitions, %.0f B rerouted to the canonical store)",
 		id, parts, bytes)
 	if link.conn != nil {
@@ -984,12 +982,13 @@ func (m *Master) updateMembership() {
 			live++
 		}
 	}
-	m.Elastic.SetMembership(live, draining)
+	m.Elastic.Live.Store(int64(live))
+	m.Elastic.Draining.Store(int64(draining))
 }
 
 // signals samples the autoscaler's view of the cluster. Loop-owned.
 func (m *Master) signals() elastic.Signals {
-	s := elastic.Signals{Joined: m.Elastic.Joined()}
+	s := elastic.Signals{Joined: int(m.Elastic.Joined.Load())}
 	var capCores, freeCores float64
 	for i, l := range m.workers {
 		switch {
@@ -1102,7 +1101,6 @@ func (m *Master) failWorker(id int, cause error) {
 	link.drainPending = false
 	m.rec.record(cpstate.WorkerFailed{Worker: int32(id)})
 	m.Transport.ObserveFailure(id)
-	m.Elastic.ObserveFail()
 	m.logf("master: worker %d failed: %v", id, cause)
 	link.conn.Close()
 	m.Sys.Core.FailWorker(id)
@@ -1116,7 +1114,7 @@ func (m *Master) failWorker(id int, cause error) {
 		// An elastic cluster with no live workers pauses admission (jobs
 		// stay queued, visibly) and waits for a join — from the autoscaler
 		// or an operator — instead of failing the run.
-		m.Elastic.SetPaused(true)
+		m.Elastic.Paused.Store(true)
 		m.logf("master: no live workers remain; admission paused until a worker joins")
 		return
 	}
@@ -1142,7 +1140,6 @@ func (m *Master) Run(ctx context.Context) error {
 	}
 	m.mu.Lock()
 	m.started = true
-	m.start = time.Now()
 	jobs := append([]*RemoteJob(nil), m.jobs...)
 	m.mu.Unlock()
 
@@ -1190,7 +1187,6 @@ func (m *Master) Run(ctx context.Context) error {
 	if m.cfg.StatsInterval > 0 {
 		stopStats := loop.Every(eventloop.Duration(m.cfg.StatsInterval/time.Microsecond), func() {
 			now := time.Now()
-			m.Transport.Sample(now.Sub(m.start).Seconds(), now)
 			m.logf("master: %s", m.Transport.StatsLine(now))
 			if m.fd != nil {
 				// Sample tenant fairness on the loop, where the scheduler's
@@ -1200,22 +1196,28 @@ func (m *Master) Run(ctx context.Context) error {
 			}
 			if m.jnl != nil {
 				_, _, _, unsynced := m.jnl.Stats()
-				m.Journal.ObservePendingDepth(unsynced)
+				m.Journal.PendingDepth.Store(int64(unsynced))
 			}
-			m.logf("master: %s", m.Journal.StatsLine())
-			m.Elastic.SetPaused(m.Sys.Core.Sched.AdmissionPaused())
-			m.logf("master: %s", m.Elastic.StatsLine())
+			m.logf("master: %s", m.Journal.StatsLine(m.gen))
+			m.Elastic.Paused.Store(m.Sys.Core.Sched.AdmissionPaused())
+			m.logf("master: %s", m.Elastic.StatsLine(m.Transport.Failures()))
 		})
 		defer stopStats()
 	}
 	m.Sys.Drv.Send(func() { m.updateMembership() })
 	if m.cfg.Autoscale {
 		ctrl := &elastic.Controller{
-			Policy:  elastic.NewUtilizationPolicy(m.cfg.MinWorkers, m.cfg.MaxWorkers),
-			Prov:    m.cfg.Provisioner,
-			Drain:   m.drainOneIdle,
-			Logf:    m.cfg.Logf,
-			OnScale: m.Elastic.ObserveScale,
+			Policy: elastic.NewUtilizationPolicy(m.cfg.MinWorkers, m.cfg.MaxWorkers),
+			Prov:   m.cfg.Provisioner,
+			Drain:  m.drainOneIdle,
+			Logf:   m.cfg.Logf,
+			OnScale: func(up bool) {
+				if up {
+					m.Elastic.ScaleUps.Add(1)
+				} else {
+					m.Elastic.ScaleDowns.Add(1)
+				}
+			},
 		}
 		if ctrl.Prov == nil {
 			ctrl.Prov = elastic.ProvisionerFunc(func() error {
@@ -1224,7 +1226,7 @@ func (m *Master) Run(ctx context.Context) error {
 		}
 		stopScale := loop.Every(eventloop.Duration(m.cfg.AutoscaleInterval/time.Microsecond), func() {
 			s := m.signals()
-			m.Elastic.SetPaused(s.Paused)
+			m.Elastic.Paused.Store(s.Paused)
 			ctrl.Tick(s)
 		})
 		defer stopScale()
@@ -1259,10 +1261,7 @@ func (m *Master) Run(ctx context.Context) error {
 		// pre-start fallback.
 		m.Sys.Drv.Send(m.fd.markStarted)
 	}
-	err := m.Sys.Run(ctx)
-	now := time.Now()
-	m.Transport.Sample(now.Sub(m.start).Seconds(), now)
-	return err
+	return m.Sys.Run(ctx)
 }
 
 // Close releases the master's listeners and connections. Idempotent; called

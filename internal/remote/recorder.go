@@ -62,13 +62,16 @@ func (r *recorder) record(ev cpstate.Event) {
 					r.err = err
 				}
 			} else {
-				r.metrics.ObserveSnapshot()
+				r.metrics.Snapshots.Add(1)
 			}
 		}
 	}
 	journaled := r.jnl != nil
 	r.mu.Unlock()
-	r.metrics.ObserveEvent(journaled)
+	r.metrics.Events.Add(1)
+	if journaled {
+		r.metrics.Appended.Add(1)
+	}
 }
 
 // fence ends this master's authority over the state machine: every later

@@ -202,9 +202,6 @@ func TestMeasuredRatesFeedback(t *testing.T) {
 	if !sawRTT {
 		t.Fatal("no dispatch→completion RTT was measured")
 	}
-	if tr.Trace() == nil {
-		t.Fatal("transport trace not wired")
-	}
 }
 
 // TestAgentFailureRecovery is the chaos test: a 3-agent cluster runs

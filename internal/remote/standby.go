@@ -125,7 +125,8 @@ func (s *Standby) Takeover(ctx context.Context) (*Master, error) {
 		jnl.Close()
 		return nil, err
 	}
-	m.Journal.ObserveReplay(len(rep.Events), replayBytes)
+	m.Journal.ReplayEvents.Add(int64(len(rep.Events)))
+	m.Journal.ReplayBytes.Add(int64(replayBytes))
 	m.logf("master: takeover at gen %d: replayed %d events (%d B), %d jobs, %d commits",
 		m.gen, len(rep.Events), replayBytes, len(st.Order), len(st.Commits))
 	if err := m.recoverFromState(st); err != nil {
