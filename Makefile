@@ -41,9 +41,12 @@ race:
 # in one process — wordcount/SQL row equivalence against direct execution,
 # measured-rate feedback, and the kill-an-agent chaos recovery test — under
 # the race detector. (Also covered by `race`; kept as an explicit gate so
-# the data plane cannot silently drop out of CI.)
+# the data plane cannot silently drop out of CI.) The second line repeats
+# the driver's start-order test and the live measured-rate test, whose
+# failures are timing-dependent, ten times.
 smoke-dist:
 	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery' ./internal/remote
+	$(GO) test -race -count=10 -run 'TestLiveDriverPreRunSendBeforeTimers|TestLiveMultiJobMeasuredRates' ./internal/eventloop ./internal/live
 
 # Failover smoke: kill a journaled primary mid-job, promote the standby off
 # the lease, replay snapshot + tail to byte-identical control-plane state,
@@ -65,9 +68,10 @@ smoke-elastic:
 # smaller machine profile and is artificially slowed, with the interference
 # penalty steering placement — the profile must reach the master's scheduling
 # core and rows must stay byte-identical to direct execution. Runs under the
-# race detector.
+# race detector, five times: whether the profile lands before the first
+# dispatch is timing-dependent.
 smoke-hetero:
-	$(GO) test -race -count=1 -run 'TestHeteroLoopback' ./internal/remote
+	$(GO) test -race -count=5 -run 'TestHeteroLoopback' ./internal/remote
 
 # Hostile-network matrix: the loopback cluster under every injected fault
 # class (drop, delay, partition, slow-reader, truncation, wedge) must finish

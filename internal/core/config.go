@@ -35,7 +35,10 @@ func (p Policy) String() string {
 type Config struct {
 	// Policy is the job ordering policy.
 	Policy Policy
-	// SchedInterval is the task-placement batching interval (§4.2.2).
+	// SchedInterval is the task-placement batching interval (§4.2.2). Under
+	// place-on-arrival (the live runtime, System.EnablePlaceOnArrival) work
+	// is placed the instant it becomes placeable, and SchedInterval is only
+	// the retry cadence for pending tasks a pass could not place.
 	SchedInterval eventloop.Duration
 	// EPT is the expected processing time horizon, "slightly larger than
 	// the scheduling interval" to cover communication delay.

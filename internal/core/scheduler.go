@@ -11,7 +11,10 @@ import (
 
 // Scheduler is Ursa's centralized scheduler (§4.2.2): it admits jobs under a
 // cluster-wide memory reservation to prevent memory deadlock, and places
-// ready tasks onto workers in batches at the scheduling interval.
+// ready tasks onto workers in batches at the scheduling interval. With
+// place-on-arrival on (the live runtime), a pass also runs in the instant
+// work becomes placeable, and the interval tick only retries what that pass
+// could not place.
 //
 // Admission is multi-tenant: each tenant has its own queue ordered by the
 // paper's intra-queue policy (EJF submission order or SRJF priority), and a
@@ -53,6 +56,15 @@ type Scheduler struct {
 
 	ticking  bool
 	stopTick func()
+
+	// onArrival, set by System.EnablePlaceOnArrival, arms a placement pass
+	// in the loop instant ready tasks arrive or a completion frees capacity
+	// instead of leaving them for the next tick. armed coalesces arming to
+	// at most one pending pass; arrivalFn is that pass, bound once so
+	// arming does not allocate.
+	onArrival bool
+	armed     bool
+	arrivalFn func()
 }
 
 // tenantQueue is one tenant's admission queue plus its fair-share
@@ -159,7 +171,11 @@ func (ps *PendingStage) remove(t *dag.Task) {
 }
 
 func newScheduler(sys *System) *Scheduler {
-	return &Scheduler{sys: sys, tenants: make(map[string]*tenantQueue)}
+	s := &Scheduler{sys: sys, tenants: make(map[string]*tenantQueue)}
+	// Bound once: a method value taken per pass would allocate per pass.
+	s.pctx.orderBoost = s.orderBoost
+	s.arrivalFn = s.arrivalPass
+	return s
 }
 
 // tenantFor returns (creating on first use) the tenant's queue. Weights come
@@ -348,8 +364,9 @@ func (s *Scheduler) admit(j *Job) {
 }
 
 // addReadyTasks registers estimated, ready tasks for placement at the next
-// scheduling interval. The job's stage index makes the common case — all
-// tasks landing in existing pool entries — O(tasks) instead of O(pool).
+// scheduling interval, or in this instant under place-on-arrival. The job's
+// stage index makes the common case — all tasks landing in existing pool
+// entries — O(tasks) instead of O(pool).
 func (s *Scheduler) addReadyTasks(j *Job, tasks []*dag.Task) {
 	if j.pendingIdx == nil {
 		j.pendingIdx = make(map[*dag.Stage]*PendingStage)
@@ -364,6 +381,7 @@ func (s *Scheduler) addReadyTasks(j *Job, tasks []*dag.Task) {
 		ps.add(t)
 	}
 	s.ensureTicking()
+	s.armPass()
 }
 
 // taskFinished lets the active placer observe whole-task completions; the
@@ -479,8 +497,8 @@ func (s *Scheduler) ensureTicking() {
 	s.stopTick = s.sys.Loop.Every(s.sys.Cfg.SchedInterval, s.tick)
 }
 
-// tick is one scheduling interval: refresh priorities, run placement over
-// the pending pool, dispatch the resulting assignments.
+// tick is one scheduling interval: place the pending pool, or stop ticking
+// when it is empty.
 func (s *Scheduler) tick() {
 	if len(s.pending) == 0 {
 		// Nothing placeable: stop ticking until new ready tasks arrive.
@@ -491,6 +509,34 @@ func (s *Scheduler) tick() {
 		s.stopTick()
 		return
 	}
+	s.place()
+}
+
+// armPass posts one placement pass at the current instant when
+// place-on-arrival is on and tasks are pending. Calls before the pass runs
+// coalesce into it, so a batch admission or a finished stage costs one
+// pass. The periodic tick stays live as the retry for tasks the pass
+// cannot place: no headroom, the memory gate, or a rate that recovers only
+// as its windows decay, which no event would re-arm.
+func (s *Scheduler) armPass() {
+	if !s.onArrival || s.armed || len(s.pending) == 0 {
+		return
+	}
+	s.armed = true
+	s.sys.Loop.Post(s.arrivalFn)
+}
+
+// arrivalPass is the pass armPass posts.
+func (s *Scheduler) arrivalPass() {
+	s.armed = false
+	if len(s.pending) > 0 {
+		s.place()
+	}
+}
+
+// place is one placement pass: refresh priorities, run placement over the
+// pending pool, dispatch the resulting assignments.
+func (s *Scheduler) place() {
 	s.refreshPriorities()
 	placer := s.sys.Cfg.Placer
 	if placer == nil {
@@ -500,7 +546,6 @@ func (s *Scheduler) tick() {
 	s.pctx.Cfg = &s.sys.Cfg
 	s.pctx.Workers = s.sys.Workers
 	s.pctx.Pending = s.pending
-	s.pctx.orderBoost = s.orderBoost
 	placements := placer.Place(&s.pctx)
 	for _, pl := range placements {
 		pl.Stage.remove(pl.Task)

@@ -63,6 +63,15 @@ func (s *System) SetExecutor(e MonotaskExecutor) {
 	s.exec = e
 }
 
+// EnablePlaceOnArrival makes the scheduler run a placement pass in the
+// loop instant work becomes placeable — ready tasks arrive, or a monotask
+// completion frees capacity while tasks are pending — instead of waiting
+// out SchedInterval. The interval tick remains as the retry for tasks that
+// pass could not place. The live construction path (internal/live) turns
+// it on: on the wall clock the interval is pure waiting. The simulator
+// leaves it off and keeps the paper's periodic batches.
+func (s *System) EnablePlaceOnArrival() { s.Sched.onArrival = true }
+
 // Submit schedules a job submission at the given virtual time and returns
 // the job handle. The plan is built immediately so specification errors
 // surface at submission setup rather than mid-simulation.

@@ -298,6 +298,9 @@ func (w *Worker) start(item *queuedMT, counted bool) {
 		}
 		item.job.jm.monotaskDone(w, mt)
 		w.pump(mt.Kind)
+		// The completion freed capacity: under place-on-arrival, pending
+		// tasks get a pass in this instant.
+		w.sys.Sched.armPass()
 	}
 	w.active[mt] = w.sys.exec.Start(w, item.job, mt, done)
 }

@@ -173,6 +173,15 @@ func (d *LiveDriver) Run(ctx context.Context) error {
 	if !wake.Stop() {
 		<-wake.C
 	}
+	// Events sent before Run started (setup such as a registering agent's
+	// hardware profile) run first, ahead of any timer: a timer due at start
+	// would otherwise act on state the setup has not reached yet.
+	for _, fn := range d.drain() {
+		fn()
+		if d.stopRequested() {
+			return nil
+		}
+	}
 	for {
 		// 1. Run external events that have arrived, each at the current
 		// wall instant.

@@ -51,6 +51,25 @@ func TestLiveDriverTimersFireInOrderAgainstWall(t *testing.T) {
 	}
 }
 
+// TestLiveDriverPreRunSendBeforeTimers: an event sent before Run starts runs
+// ahead of a timer due at time zero, so setup queued through the inbox (an
+// agent's hardware profile) lands before work that timer would start.
+func TestLiveDriverPreRunSendBeforeTimers(t *testing.T) {
+	d := NewLiveDriver()
+	var order []string
+	d.Loop().At(0, func() {
+		order = append(order, "timer")
+		d.Stop()
+	})
+	d.Send(func() { order = append(order, "send") })
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 || order[0] != "send" || order[1] != "timer" {
+		t.Fatalf("order = %v, want [send timer]", order)
+	}
+}
+
 // TestLiveDriverSendFromManyGoroutines: the inbox is the thread-safety
 // boundary — concurrent Sends all execute, single-threaded, on the loop.
 func TestLiveDriverSendFromManyGoroutines(t *testing.T) {

@@ -9,8 +9,9 @@
 // computed from observed rates, not modeled ones.
 //
 // The control plane is byte-for-byte the code the simulator runs; only the
-// Driver (clock) and the MonotaskExecutor (work) differ. See DESIGN.md §8
-// for the layering and the determinism boundary.
+// Driver (clock), the MonotaskExecutor (work) and the placement cadence
+// (on arrival instead of periodic batches) differ. See DESIGN.md §8 for the
+// layering, the cadence and the determinism boundary.
 package live
 
 import (
@@ -48,7 +49,8 @@ type Config struct {
 	// unbounded for local datasets.
 	MemPerWorker float64
 	// Core configures the scheduler. Zero fields default like the
-	// simulation, except SchedInterval (10ms — a wall-clock tick),
+	// simulation, except SchedInterval (10ms — the retry cadence for tasks
+	// that could not be placed when they arrived; see NewSystem),
 	// RateWindow (1s) and SmallMonotaskBytes (1, so every monotask goes
 	// through the worker queues and the full §4.2.3 path is exercised).
 	Core core.Config
@@ -163,12 +165,16 @@ type System struct {
 	runErr  error
 }
 
-// NewSystem assembles a live system. Submit jobs, then Run.
+// NewSystem assembles a live system. Submit jobs, then Run. The scheduler
+// places work on arrival: on the wall clock a periodic tick is pure
+// waiting, so ready tasks are placed in the instant they become placeable
+// and SchedInterval only paces retries.
 func NewSystem(cfg Config) *System {
 	cfg = cfg.withDefaults()
 	drv := eventloop.NewLiveDriver()
 	clus := cluster.New(drv.Loop(), cfg.clusterConfig())
 	sys := core.NewSystem(drv.Loop(), clus, cfg.Core)
+	sys.EnablePlaceOnArrival()
 	s := &System{Drv: drv, Core: sys, Cluster: clus, cfg: cfg}
 	if cfg.NewBackend != nil {
 		s.exec = cfg.NewBackend(s)
@@ -296,9 +302,10 @@ func (s *System) Fail(err error) {
 
 // Run drives the control loop against the wall clock until every submitted
 // job finishes, an executor fails, or ctx is cancelled. The scheduler path
-// is exactly the simulation's: admission under the memory reservation,
-// batched placement ticks, per-resource worker queues — only the clock and
-// the execution back-end differ.
+// is the simulation's: admission under the memory reservation, Algorithm 1
+// placement, per-resource worker queues. The clock, the execution back-end
+// and the placement cadence differ: placement runs on arrival, with the
+// interval tick as a retry, instead of in periodic batches.
 func (s *System) Run(ctx context.Context) error {
 	s.mu.Lock()
 	if s.started {

@@ -136,9 +136,12 @@ func TestSimVsLiveEquivalence(t *testing.T) {
 // TestLiveMultiJobMeasuredRates: several concurrent jobs all complete through
 // the shared worker queues, and the workers' rate monitors pick up *measured*
 // samples — at least one worker's CPU rate departs from the configured seed.
+// Samples reach the rate only when a window closes, so the window must be
+// short against the run: placed on arrival, the three jobs finish in a few
+// milliseconds.
 func TestLiveMultiJobMeasuredRates(t *testing.T) {
 	cfg := Config{Workers: 2}
-	cfg.Core.RateWindow = 5 * eventloop.Millisecond
+	cfg.Core.RateWindow = eventloop.Millisecond
 	sys := NewSystem(cfg)
 
 	const jobs = 3
