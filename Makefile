@@ -43,10 +43,12 @@ race:
 # the race detector. (Also covered by `race`; kept as an explicit gate so
 # the data plane cannot silently drop out of CI.) The second line repeats
 # the driver's start-order test and the live measured-rate test, whose
-# failures are timing-dependent, ten times.
+# failures are timing-dependent, ten times; the third does the same for the
+# front door's self-clocked batching and served-job release tests.
 smoke-dist:
 	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery' ./internal/remote
 	$(GO) test -race -count=10 -run 'TestLiveDriverPreRunSendBeforeTimers|TestLiveMultiJobMeasuredRates' ./internal/eventloop ./internal/live
+	$(GO) test -race -count=10 -run 'TestFrontDoorSelfClockedBatching|TestServedJobsReleased' ./internal/remote
 
 # Failover smoke: kill a journaled primary mid-job, promote the standby off
 # the lease, replay snapshot + tail to byte-identical control-plane state,

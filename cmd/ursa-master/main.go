@@ -88,8 +88,6 @@ func main() {
 			"run the multi-tenant submission front door instead of a preset workload")
 		tenantWeights = flag.String("tenant-weights", "",
 			"weighted fair-share map as name=weight pairs, e.g. ops=3,batch=1 (unlisted tenants weigh 1)")
-		admissionInterval = flag.Duration("admission-interval", 0,
-			"batched admission flush period (0 = default)")
 		intakeCap = flag.Int("intake-cap", 0,
 			"max submissions parked in intake before rejection (0 = default)")
 		clientSendQueue = flag.Int("client-send-queue", 0,
@@ -142,7 +140,6 @@ func main() {
 	cfg := remote.Config{
 		Addr:                *listen,
 		Serve:               *serve,
-		AdmissionInterval:   *admissionInterval,
 		IntakeCap:           *intakeCap,
 		ClientSendQueue:     *clientSendQueue,
 		TenantIntakeCap:     *tenantIntakeCap,

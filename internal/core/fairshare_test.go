@@ -256,7 +256,7 @@ func TestAdmissionChurn(t *testing.T) {
 	loop.Run()
 
 	if !sys.AllDone() {
-		t.Fatalf("%d/%d jobs done", sys.done, len(sys.Jobs()))
+		t.Fatalf("%d/%d jobs done", sys.done, sys.submitted)
 	}
 	var finished, cancelled int
 	for _, j := range jobs {

@@ -19,8 +19,11 @@ type System struct {
 	Sched   *Scheduler
 	Workers []*Worker
 
-	jobs []*Job
-	done int
+	// jobs holds the jobs submitted through Submit and SubmitPlan; batch
+	// jobs (SubmitPlanNow) are counted in submitted but not retained.
+	jobs      []*Job
+	submitted int
+	done      int
 
 	// exec runs monotasks; the default simExecutor charges modeled
 	// durations on the virtual clock. SetExecutor swaps in a live back-end.
@@ -88,7 +91,8 @@ func (s *System) Submit(spec JobSpec, at eventloop.Time) (*Job, error) {
 // plan construction and submission, which makes the SRJF remaining-work
 // hint see real input sizes.
 func (s *System) SubmitPlan(spec JobSpec, plan *dag.Plan, at eventloop.Time) *Job {
-	j := &Job{ID: len(s.jobs), Spec: spec, Plan: plan}
+	j := &Job{ID: s.submitted, Spec: spec, Plan: plan}
+	s.submitted++
 	j.remaining = planWorkHint(plan)
 	s.jobs = append(s.jobs, j)
 	s.Loop.At(at, func() { s.Sched.submit(j) })
@@ -100,10 +104,12 @@ func (s *System) SubmitPlan(spec JobSpec, plan *dag.Plan, at eventloop.Time) *Jo
 // from a loop callback. Pair with FlushAdmission — the batch path enqueues
 // many jobs, then runs one admission pass over all of them, so per-job cost
 // is queue append + stamp instead of a full reservation/rank/sort pass.
+// The job is not retained for Jobs: the caller owns it, so a long-running
+// front door does not keep every job it ever served.
 func (s *System) SubmitPlanNow(spec JobSpec, plan *dag.Plan) *Job {
-	j := &Job{ID: len(s.jobs), Spec: spec, Plan: plan}
+	j := &Job{ID: s.submitted, Spec: spec, Plan: plan}
+	s.submitted++
 	j.remaining = planWorkHint(plan)
-	s.jobs = append(s.jobs, j)
 	s.Sched.enqueue(j)
 	return j
 }
@@ -130,11 +136,12 @@ func (s *System) MustSubmit(spec JobSpec, at eventloop.Time) *Job {
 	return j
 }
 
-// Jobs returns all submitted jobs in submission order.
+// Jobs returns the jobs submitted through Submit and SubmitPlan, in
+// submission order.
 func (s *System) Jobs() []*Job { return s.jobs }
 
 // AllDone reports whether every submitted job has finished.
-func (s *System) AllDone() bool { return s.done == len(s.jobs) }
+func (s *System) AllDone() bool { return s.done == s.submitted }
 
 func (s *System) jobDone(j *Job) {
 	s.done++

@@ -245,7 +245,10 @@ type Submission struct {
 // runs, so per-job cost is an append instead of a full reservation/rank/sort
 // pass and a lock round-trip each. It does not block on the loop; after (if
 // set) runs on the loop once the admission pass completes. Before Run it
-// executes synchronously.
+// executes synchronously. Batch jobs are not retained by the system (Jobs
+// omits them): the caller holds each one from OnQueued for as long as it
+// needs it, so a long-running front door does not accumulate every job it
+// ever served.
 func (s *System) SubmitBatch(subs []Submission, after func()) {
 	run := func() {
 		for i := range subs {
@@ -256,9 +259,6 @@ func (s *System) SubmitBatch(subs []Submission, after func()) {
 			}
 			j := &Job{rt: rt}
 			j.Core = s.Core.SubmitPlanNow(sub.Spec, sub.Plan)
-			s.mu.Lock()
-			s.jobs = append(s.jobs, j)
-			s.mu.Unlock()
 			s.exec.RegisterJob(j.Core, rt)
 			if sub.OnQueued != nil {
 				sub.OnQueued(j)
@@ -283,7 +283,8 @@ func (s *System) SubmitBatch(subs []Submission, after func()) {
 // loop drains. Serve-mode callers use it once the front door has drained.
 func (s *System) Shutdown() { s.Drv.Stop() }
 
-// Jobs returns the submitted live jobs in submission order.
+// Jobs returns the jobs submitted through Submit and SubmitPlan, in
+// submission order.
 func (s *System) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()

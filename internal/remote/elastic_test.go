@@ -262,7 +262,6 @@ func TestElasticAutoscaleLoopback(t *testing.T) {
 
 	lc := startCluster(t, 2, Config{
 		Serve:             true,
-		AdmissionInterval: 2 * time.Millisecond,
 		Autoscale:         true,
 		MinWorkers:        2,
 		MaxWorkers:        5,
@@ -412,10 +411,9 @@ func TestReserveCorrectionLearns(t *testing.T) {
 	// Observed peaks are measured in bytes, so the estimate and capacity are
 	// byte-denominated too — the corrector only makes sense in like units.
 	lc := startCluster(t, 1, Config{
-		Serve:             true,
-		AdmissionInterval: 2 * time.Millisecond,
-		ReserveCorrect:    true,
-		MemPerWorker:      1 << 30,
+		Serve:          true,
+		ReserveCorrect: true,
+		MemPerWorker:   1 << 30,
 	})
 	runErr := make(chan error, 1)
 	go func() { runErr <- lc.Master.Run(context.Background()) }()

@@ -104,6 +104,15 @@ type jobRec struct {
 	built  *workload.BuiltJob
 	core   *core.Job
 	rt     *localrt.Runtime
+	// served marks a front-door job: released (record dropped, canonical
+	// store closed) once terminal, because nothing reads a served job's
+	// outputs at the master after JobDone. Pre-submitted batch jobs keep
+	// their records for Master.Jobs and ResultRows.
+	served bool
+	// parts lists the produced partitions this job has origins for, so a
+	// release can drop its routing entries without scanning every job's.
+	// Loop-owned.
+	parts []originKey
 
 	// Reservation-correction samples, loop-owned: reserved is the admission
 	// reservation stashed at JobAdmitted (the core zeroes its copy before
@@ -212,6 +221,32 @@ func (e *remoteExecutor) recordByCore(j *core.Job) *jobRec {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.byCore[j]
+}
+
+// release drops a terminal front-door job: its record leaves the registry,
+// its fetch routing entries are deleted, and its canonical store (with any
+// spill file) is closed. Loop-owned; runs from the master's job-finished
+// hook after JobDone went out, so no agent fetches the job's partitions
+// again. A late Complete for the job finds no dispatch and is dropped as
+// stale, and a fetch naming it gets "unknown job" — exactly the answers
+// for a job the master never had. Batch jobs are left alone.
+func (e *remoteExecutor) release(j *core.Job) {
+	e.mu.Lock()
+	rec := e.byCore[j]
+	if rec == nil || !rec.served {
+		e.mu.Unlock()
+		return
+	}
+	delete(e.byCore, j)
+	delete(e.jobs, rec.wireID)
+	e.mu.Unlock()
+	for _, key := range rec.parts {
+		for _, o := range e.origins[key] {
+			delete(e.contribBytes, contribSrc{key, o})
+		}
+		delete(e.origins, key)
+	}
+	rec.rt.Close()
 }
 
 // closeRuntimes releases every job's canonical store (spill files). Called
@@ -417,6 +452,9 @@ func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
 		// rows materialize lazily only if the master itself reads them.
 		okey := originKey{c.JobID, w.DatasetID, w.Part}
 		rec.rt.InsertEncoded(ds, int(w.Part), int(c.MTID), w.Rows, w.Flags, int(w.RawLen))
+		if len(e.origins[okey]) == 0 {
+			rec.parts = append(rec.parts, okey)
+		}
 		e.noteOrigin(okey, workerID)
 		e.contribBytes[contribSrc{okey, workerID}] += float64(len(w.Rows))
 	}

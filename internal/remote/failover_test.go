@@ -220,10 +220,11 @@ func TestReplayMatchesLiveState(t *testing.T) {
 // and admission parked, a tenant's second submission is rejected while
 // another tenant's passes.
 func TestTenantIntakeCap(t *testing.T) {
+	// Master.Run is never called, so the pump stays blocked on fd.started
+	// and the intake stays parked: nothing drains during the test.
 	lc := startCluster(t, 1, Config{
-		Serve:             true,
-		TenantIntakeCap:   1,
-		AdmissionInterval: 10 * time.Second, // park the intake: nothing drains during the test
+		Serve:           true,
+		TenantIntakeCap: 1,
 	})
 	name, params := workload.WordCount(workload.WordCountParams{Lines: 100, InParts: 2, OutParts: 2})
 

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ursa/internal/core"
 	"ursa/internal/cpstate"
@@ -20,7 +19,9 @@ import (
 // single pump goroutine drains them in batches through live.SubmitBatch —
 // one driver crossing and one admission pass per batch, so the scheduler's
 // per-submission cost (reservation check, SRJF rank refresh, queue insert)
-// is amortized to O(batch) instead of O(backlog) per job. Acks flow back on
+// is amortized to O(batch) instead of O(backlog) per job. Admission is
+// self-clocked: a lone submission flushes on arrival, and a batch is
+// whatever arrived while the previous one was on the loop. Acks flow back on
 // the submitting connection; job lifecycle transitions stream as JobStatus
 // frames through the bounded client send queue, dropped (and counted) when a
 // slow subscriber's queue is full.
@@ -242,9 +243,10 @@ func shardFor(tenant string) int {
 	return int(h.Sum32() % nIntakeShards)
 }
 
-// pump is the batched admission pipeline: wait for intake, let one
-// AdmissionInterval of submissions accumulate, flush them through the
-// scheduler in one pass, repeat.
+// pump is the batched admission pipeline, self-clocked like a journal's
+// group commit: an arrival on an idle pump flushes at once, and whatever
+// arrives while that batch is on the loop forms the next batch. Batches
+// grow with load and cost no wait when the front door is quiet.
 func (fd *frontDoor) pump() {
 	select {
 	case <-fd.started:
@@ -256,11 +258,6 @@ func (fd *frontDoor) pump() {
 		case <-fd.quit:
 			return
 		case <-fd.notify:
-		}
-		select {
-		case <-fd.quit:
-			return
-		case <-time.After(fd.m.cfg.AdmissionInterval):
 		}
 		fd.flush()
 	}
@@ -346,7 +343,7 @@ func (fd *frontDoor) submitBatch(batch []intakeSub, after func()) int {
 		spec := bj.Spec
 		spec.Tenant = in.tenant
 		spec.MemEstimate *= fd.m.reserveFactor(in.workload)
-		recs = append(recs, &jobRec{name: in.workload, params: in.params, built: bj})
+		recs = append(recs, &jobRec{name: in.workload, params: in.params, built: bj, served: true})
 		subs = append(subs, live.Submission{
 			Spec: spec, Plan: bj.Plan, Inputs: bj.Inputs,
 			OnQueued: func(j *live.Job) { fd.bindJob(in.link, in.submitID, in.tenant, j) },

@@ -3,6 +3,8 @@ package remote
 import (
 	"context"
 	"net"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +22,6 @@ import (
 func startServeCluster(t *testing.T, n int, cfg Config) (*LocalCluster, <-chan error) {
 	t.Helper()
 	cfg.Serve = true
-	if cfg.AdmissionInterval == 0 {
-		cfg.AdmissionInterval = time.Millisecond
-	}
 	lc := startCluster(t, n, cfg)
 	runErr := make(chan error, 1)
 	go func() { runErr <- lc.Master.Run(context.Background()) }()
@@ -241,4 +240,173 @@ func TestFrontDoorStatusDropCounter(t *testing.T) {
 	if err := conn.SendErr(); err != nil {
 		t.Fatalf("dropping statuses failed the connection: %v", err)
 	}
+}
+
+// onLoop runs f on the master's control loop and waits for it, so a test
+// reads loop-owned state consistently.
+func onLoop(lc *LocalCluster, f func()) {
+	done := make(chan struct{})
+	lc.Master.Sys.Drv.Send(func() {
+		f()
+		close(done)
+	})
+	<-done
+}
+
+// TestFrontDoorSelfClockedBatching checks that admission is self-clocked: a
+// lone submission on an idle master is flushed on arrival as a batch of
+// one, and a burst that arrives while the control loop is busy goes through
+// in at most two batches — the one already shipped, plus everything that
+// piled up on the intake behind it.
+func TestFrontDoorSelfClockedBatching(t *testing.T) {
+	lc, runErr := startServeCluster(t, 1, Config{})
+	ing := lc.Master.Ingest()
+	c := dialFrontDoor(t, lc, ClientConfig{Tenant: "burst"})
+	_, params := workload.Micro(workload.MicroParams{Rows: 64, MemEstimate: 1})
+
+	batches, jobs := ing.Batches.Load(), ing.BatchedJobs.Load()
+	if _, err := c.Submit("micro", params); err != nil {
+		t.Fatalf("lone submit: %v", err)
+	}
+	if got := ing.Batches.Load() - batches; got != 1 {
+		t.Errorf("lone submission flushed in %d batches, want 1", got)
+	}
+	if got := ing.BatchedJobs.Load() - jobs; got != 1 {
+		t.Errorf("lone submission's batch carried %d jobs, want 1", got)
+	}
+
+	// Park the control loop, so the first batch of the burst waits in the
+	// driver inbox while the rest arrives.
+	blocked, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	lc.Master.Sys.Drv.Send(func() {
+		close(blocked)
+		<-release
+	})
+	<-blocked
+
+	const n = 32
+	batches, jobs = ing.Batches.Load(), ing.BatchedJobs.Load()
+	var wg sync.WaitGroup
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Submit("micro", params); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	waitFor(t, "the burst to reach the intake", func() bool {
+		return lc.Master.fd.queued.Load()+ing.BatchedJobs.Load()-jobs == n
+	})
+	unblock()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("burst submit: %v", err)
+	}
+	if got := ing.BatchedJobs.Load() - jobs; got != n {
+		t.Errorf("burst batched %d jobs, want %d", got, n)
+	}
+	if got := ing.Batches.Load() - batches; got < 1 || got > 2 {
+		t.Errorf("burst of %d admitted in %d batches, want 1 or 2", n, got)
+	}
+	lc.Master.Drain()
+	waitRun(t, runErr)
+}
+
+// TestServedJobsReleased checks that the master lets go of a front-door job
+// once it is terminal: the executor keeps only the pre-submitted batch
+// job's record, every served job's canonical store is closed (its spill
+// file is gone), and a late Complete or fetch naming a released job is
+// answered as for a job the master never had. The batch job's rows stay
+// readable.
+func TestServedJobsReleased(t *testing.T) {
+	spill := t.TempDir()
+	lc := startCluster(t, 2, Config{Serve: true, ShuffleMemBudget: 1, ShuffleSpillDir: spill})
+	name, params := workload.WordCount(workload.WordCountParams{Lines: 2000, InParts: 4, OutParts: 2})
+	pre, err := lc.Master.Submit(name, params)
+	if err != nil {
+		t.Fatalf("pre-submit: %v", err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- lc.Master.Run(context.Background()) }()
+	log := newStatusLog()
+	c := dialFrontDoor(t, lc, ClientConfig{Tenant: "served", OnStatus: log.add})
+
+	const n = 12
+	ids := make([]int64, 0, n)
+	for i := 0; i < n; i++ {
+		id, err := c.Submit(name, params)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		log.waitState(t, id, wire.StateFinished)
+	}
+	waitFor(t, "the pre-submitted job to finish", func() bool {
+		var done bool
+		onLoop(lc, func() { done = pre.Live.Core.State == core.JobFinished })
+		return done
+	})
+
+	e := lc.Master.exec
+	var preID int64
+	dups := lc.Master.Journal.DupCommits.Load()
+	onLoop(lc, func() {
+		e.mu.Lock()
+		if len(e.jobs) != 1 || len(e.byCore) != 1 || e.byCore[pre.Live.Core] == nil {
+			t.Errorf("executor holds %d records (%d by core), want only the pre-submitted job's",
+				len(e.jobs), len(e.byCore))
+		} else {
+			preID = e.byCore[pre.Live.Core].wireID
+		}
+		e.mu.Unlock()
+		for key := range e.origins {
+			if key.job != preID {
+				t.Errorf("routing entry %+v survives for a released job", key)
+			}
+		}
+		for src := range e.contribBytes {
+			if src.key.job != preID {
+				t.Errorf("contribution size %+v survives for a released job", src)
+			}
+		}
+		// A straggling Complete for a released job is stale, not a commit.
+		e.handleComplete(0, wire.Complete{JobID: ids[0], MTID: 0, Seq: 1})
+	})
+	if got := lc.Master.Journal.DupCommits.Load() - dups; got != 1 {
+		t.Errorf("late Complete for a released job: dup commits +%d, want +1", got)
+	}
+	if rt := lc.Master.resolveJob(ids[0]); rt != nil {
+		t.Error("a fetch still resolves a released job's canonical store")
+	}
+	if got := len(lc.Master.Sys.Jobs()); got != 1 {
+		t.Errorf("live system retains %d jobs, want only the pre-submitted one", got)
+	}
+	var coreJobs int
+	onLoop(lc, func() { coreJobs = len(lc.Master.Sys.Core.Jobs()) })
+	if coreJobs != 1 {
+		t.Errorf("scheduling core retains %d jobs, want only the pre-submitted one", coreJobs)
+	}
+	files, _ := filepath.Glob(filepath.Join(spill, "ursa-spill-*"))
+	if len(files) != 1 {
+		t.Errorf("spill files = %v, want exactly the pre-submitted job's (released stores must be closed)", files)
+	}
+
+	got, err := pre.ResultRows()
+	if err != nil {
+		t.Fatalf("pre-submitted job's rows: %v", err)
+	}
+	if want := directRows(t, name, params); !reflect.DeepEqual(sortedStrings(got), sortedStrings(want)) {
+		t.Errorf("pre-submitted job's rows diverge: got %d want %d", len(got), len(want))
+	}
+	lc.Master.Drain()
+	waitRun(t, runErr)
 }

@@ -96,13 +96,6 @@ type Config struct {
 	// running after pre-submitted jobs finish, until Drain. Off by default —
 	// the classic submit-then-run batch mode.
 	Serve bool
-	// AdmissionInterval paces the front door's batched admission flushes:
-	// submissions arriving within one interval are queued on the intake
-	// shards and admitted together in a single scheduler pass, so the
-	// reservation check, SRJF rank refresh and queue insert are paid once
-	// per batch instead of once per job. Default 2ms — the p99 ack-latency
-	// floor a submission pays for batching. Serve mode only.
-	AdmissionInterval time.Duration
 	// IntakeCap bounds submissions queued at the intake ahead of admission;
 	// beyond it new SubmitJobs are rejected ("intake full") instead of
 	// growing an unbounded buffer. Default 65536.
@@ -196,9 +189,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HandshakeTimeout <= 0 {
 		c.HandshakeTimeout = DefaultHandshakeTimeout
-	}
-	if c.AdmissionInterval <= 0 {
-		c.AdmissionInterval = 2 * time.Millisecond
 	}
 	if c.IntakeCap <= 0 {
 		c.IntakeCap = 1 << 16
@@ -1248,6 +1238,10 @@ func (m *Master) Run(ctx context.Context) error {
 		if userCB != nil {
 			userCB(j)
 		}
+		// Last: the JobDone broadcast and the terminal cpstate event (the
+		// job-state hook fires first) are out, so a served job's record and
+		// canonical store can go.
+		m.exec.release(j)
 		if m.fd != nil {
 			m.fd.maybeFinishDrain()
 		}
