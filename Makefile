@@ -29,10 +29,10 @@ e2ebench-check:
 	$(GO) -C e2ebench test ./...
 
 # The experiments package fans simulation runs across goroutines, the
-# parallel placement-ranking pass spawns goroutines inside the core
-# scheduler, and the live runtime (internal/live, eventloop.LiveDriver)
-# crosses real goroutine boundaries at the driver inbox; run the whole
-# tree (both equivalence suites, the live smoke tests) under the race
+# live runtime (internal/live, eventloop.LiveDriver) crosses real goroutine
+# boundaries at the driver inbox, and the loopback cluster runs master and
+# agents as goroutines over real sockets; run the whole tree (both
+# equivalence suites, the live and loopback smoke tests) under the race
 # detector.
 race:
 	$(GO) test -race ./...
@@ -62,9 +62,11 @@ smoke-failover:
 # pressure and drains back to 2 when the backlog empties, plus the mid-job
 # graceful-drain test (zero drain-attributable fetch fallbacks) and the
 # drain+kill chaos test — rows byte-identical to direct execution, under
-# the race detector.
+# the race detector. The second line repeats the mid-job join test five
+# times: a joiner must be prepared for a front-door job admitted before it.
 smoke-elastic:
 	$(GO) test -race -count=1 -run 'TestElasticAutoscaleLoopback|TestDrainMidJobNoFallbacks|TestElasticDrainAndKillChaos' ./internal/remote
+	$(GO) test -race -count=5 -run 'TestElasticJoinPreparesFrontDoorJobs' ./internal/remote
 
 # Heterogeneous-fleet smoke: a loopback cluster where one agent advertises a
 # smaller machine profile and is artificially slowed, with the interference

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"runtime"
-
 	"ursa/internal/cluster"
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
@@ -137,14 +135,12 @@ func newPlacementBench(clusCfg cluster.Config, nStages, tasksPerStage int) *Plac
 }
 
 // EnableScalable turns on the sub-linear placement path for this fixture:
-// top-K candidate selection over 16 candidates and a parallel ranking pass
-// sized to GOMAXPROCS. Parallel ranking is bit-identical to the serial
-// pass; top-K trades a bounded score loss for O(K) instead of O(W) scoring
-// per task. The context reads the system config through a pointer, so the
-// settings take effect on the next Tick.
+// top-K candidate selection over 16 candidates, which trades a bounded
+// score loss for O(K) instead of O(W) scoring per task. The context reads
+// the system config through a pointer, so the setting takes effect on the
+// next Tick.
 func (pb *PlacementBench) EnableScalable() {
 	pb.Sys.Cfg.CandidateWorkers = 16
-	pb.Sys.Cfg.RankParallelism = runtime.GOMAXPROCS(0)
 }
 
 // Configure applies an arbitrary config mutation to the fixture (e.g. a

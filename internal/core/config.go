@@ -75,12 +75,6 @@ type Config struct {
 	// their nominal rates. Off by default: placement is bit-identical to
 	// the penalty-free score (guarded by the equivalence suites).
 	InterferencePenalty bool
-	// RankParallelism shards the ranking pass of Algorithm 1's two-pass
-	// placement across up to this many goroutines with per-goroutine
-	// scratch state; candidate scores merge in stable stage order, so
-	// placements are bit-identical to the serial pass. 0 or 1 (default)
-	// keeps the pass serial. The commit pass is always serial.
-	RankParallelism int
 
 	// DisableStageAware switches Algorithm 1 to greedy per-task placement
 	// (the Figure 7 ablation).

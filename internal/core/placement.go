@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
@@ -24,11 +23,11 @@ type Placement struct {
 //
 // The context owns all scratch state the placement pass needs (headroom
 // vectors, the trial-placement undo journal, candidate ranking and output
-// buffers, the top-K worker index and per-goroutine ranking shards) and
-// reuses it across scheduling intervals, so a steady-state tick runs
-// without heap allocation. The scheduler keeps one PlaceContext alive for
-// the lifetime of the run; slices returned by Place are valid only until
-// the next Place call on the same context.
+// buffers and the top-K worker index) and reuses it across scheduling
+// intervals, so a steady-state tick runs without heap allocation. A
+// context is used by one goroutine at a time: the scheduler keeps one
+// PlaceContext alive for the lifetime of the run, and slices returned by
+// Place are valid only until the next Place call on the same context.
 type PlaceContext struct {
 	Now     eventloop.Time
 	Cfg     *Config
@@ -75,9 +74,6 @@ type PlaceContext struct {
 	useIdx bool
 	candK  int
 
-	// shards hold the per-goroutine scratch of the parallel ranking pass.
-	shards []rankShard
-
 	orderBoost func(*Job, eventloop.Time) float64
 }
 
@@ -92,16 +88,6 @@ type undoEntry struct {
 type stageCand struct {
 	ps    *PendingStage
 	score float64
-}
-
-// rankShard is one goroutine's private scratch for the parallel ranking
-// pass: its own copy of the interval-initial headroom vectors, its own
-// trial-undo journal, and its slice of the candidate list. Shards are
-// reused across ticks.
-type rankShard struct {
-	d     []dVec
-	undo  []undoEntry
-	cands []stageCand
 }
 
 // OrderBoost returns the W·T job-ordering score addend for a stage of job j.
@@ -287,10 +273,18 @@ func (Algorithm1) Place(ctx *PlaceContext) []Placement {
 	// interval O(2 · stages · tasks · workers) — O(K) per task with
 	// CandidateWorkers. Trial plans mutate D in place and roll back
 	// through the undo journal, so no candidate copies the headroom array.
-	// The ranking pass scores every stage against the same initial D, so
-	// it shards across goroutines when RankParallelism > 1 (see rankPass).
-	ctx.rankPass(d)
-	cands := ctx.cands
+	cands := ctx.cands[:0]
+	for _, ps := range ctx.Pending {
+		if !stageViable(ctx, ps) {
+			continue
+		}
+		score, placed := ctx.stageScoreOn(ps, false)
+		if placed == 0 {
+			continue
+		}
+		cands = append(cands, stageCand{ps, score + ctx.OrderBoost(ps.Job)})
+	}
+	ctx.cands = cands
 	if len(cands) > smallSortThreshold {
 		// slices.SortStableFunc keeps the concrete []stageCand type through
 		// the sort — sort.SliceStable boxes the slice into an interface and
@@ -315,73 +309,12 @@ func (Algorithm1) Place(ctx *PlaceContext) []Placement {
 		if ctx.headroom == 0 {
 			break
 		}
-		if !stageViable(ctx, c.ps, d) {
+		if !stageViable(ctx, c.ps) {
 			continue
 		}
-		ctx.stageScoreOn(c.ps, d, &ctx.undo, true)
+		ctx.stageScoreOn(c.ps, true)
 	}
 	return ctx.out
-}
-
-// rankPass runs the keep=false ranking pass of the two-pass placement,
-// filling ctx.cands with the viable stages and their scores against the
-// interval's initial headroom. With Config.RankParallelism > 1 the pending
-// pool is sharded into contiguous blocks across a bounded goroutine pool;
-// every goroutine works on its own copy of the initial headroom vectors
-// and its own undo journal (reads of the snapshot arrays, the candidate
-// index and job ranks are shared but immutable during the pass), and the
-// per-shard candidate lists are concatenated in shard order afterwards.
-// Because the serial pass also scores every stage against the restored
-// initial headroom, the merged candidate list — order and float scores —
-// is bit-identical to the serial one.
-func (ctx *PlaceContext) rankPass(d []dVec) {
-	ctx.cands = ctx.cands[:0]
-	par := ctx.Cfg.RankParallelism
-	if par > len(ctx.Pending) {
-		par = len(ctx.Pending)
-	}
-	if par <= 1 {
-		for _, ps := range ctx.Pending {
-			if !stageViable(ctx, ps, d) {
-				continue
-			}
-			score, placed := ctx.stageScoreOn(ps, d, &ctx.undo, false)
-			if placed == 0 {
-				continue
-			}
-			ctx.cands = append(ctx.cands, stageCand{ps, score + ctx.OrderBoost(ps.Job)})
-		}
-		return
-	}
-	for len(ctx.shards) < par {
-		ctx.shards = append(ctx.shards, rankShard{})
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < par; s++ {
-		sh := &ctx.shards[s]
-		sh.d = append(sh.d[:0], d...)
-		sh.cands = sh.cands[:0]
-		lo := s * len(ctx.Pending) / par
-		hi := (s + 1) * len(ctx.Pending) / par
-		wg.Add(1)
-		go func(sh *rankShard, block []*PendingStage) {
-			defer wg.Done()
-			for _, ps := range block {
-				if !stageViable(ctx, ps, sh.d) {
-					continue
-				}
-				score, placed := ctx.stageScoreOn(ps, sh.d, &sh.undo, false)
-				if placed == 0 {
-					continue
-				}
-				sh.cands = append(sh.cands, stageCand{ps, score + ctx.OrderBoost(ps.Job)})
-			}
-		}(sh, ctx.Pending[lo:hi])
-	}
-	wg.Wait()
-	for s := 0; s < par; s++ {
-		ctx.cands = append(ctx.cands, ctx.shards[s].cands...)
-	}
 }
 
 // prepareIndex decides whether top-K candidate selection applies this tick
@@ -413,7 +346,7 @@ func (ctx *PlaceContext) domKind(t *dag.Task) int {
 // task suffices. This keeps saturated scheduling intervals cheap. With the
 // candidate index only the top-K memory-viable workers on the stage's
 // dominant kind are examined, mirroring the scoring restriction.
-func stageViable(ctx *PlaceContext, ps *PendingStage, d []dVec) bool {
+func stageViable(ctx *PlaceContext, ps *PendingStage) bool {
 	if len(ps.Tasks) == 0 {
 		return false
 	}
@@ -427,6 +360,7 @@ func stageViable(ctx *PlaceContext, ps *PendingStage, d []dVec) bool {
 		needs[k] = t.EstUsage[k] > 0
 	}
 	minMem = t.EstUsage[resource.Mem]
+	d := ctx.d
 	hosts := func(wi int) bool {
 		ok := ctx.memFree[wi] >= minMem
 		for k := 0; ok && k < 3; k++ {
@@ -596,17 +530,16 @@ func applyInc(d dVec, inc dVec) dVec {
 }
 
 // stageScoreOn implements the StageScore function of Algorithm 1. It plans
-// the stage's tasks greedily against d, mutating d in place and journalling
-// each mutation in undo. When keep is false (the ranking pass) every
-// mutation is rolled back before returning, so d is restored to its
-// pre-call state and no context-level state is touched — which is what
-// makes the ranking pass shardable across goroutines with per-shard d and
-// undo. When keep is true (the commit pass, always on ctx.d/ctx.undo) the
-// mutations stand, the plan's placements are appended to ctx.out, and the
-// O(1) headroom count is maintained. It returns the normalized score (plus
-// the stage bonus when every task was placed) and the number of tasks
-// placed.
-func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, d []dVec, undo *[]undoEntry, keep bool) (float64, int) {
+// the stage's tasks greedily against the interval headroom ctx.d, mutating
+// it in place and journalling each mutation in ctx.undo. When keep is false
+// (the ranking pass) every mutation is rolled back before returning, so
+// every stage is scored against the same interval-initial headroom. When
+// keep is true (the commit pass) the mutations stand, the plan's
+// placements are appended to ctx.out, and the O(1) headroom count is
+// maintained. It returns the normalized score (plus the stage bonus when
+// every task was placed) and the number of tasks placed.
+func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, keep bool) (float64, int) {
+	d, undo := ctx.d, &ctx.undo
 	mark := len(*undo)
 	score := 0.0
 	placed := 0
@@ -652,7 +585,7 @@ func bestSingleTask(ctx *PlaceContext, d []dVec) (Placement, bool) {
 	bestScore := 0.0
 	found := false
 	for _, ps := range ctx.Pending {
-		if !stageViable(ctx, ps, d) {
+		if !stageViable(ctx, ps) {
 			continue
 		}
 		boost := ctx.OrderBoost(ps.Job)

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // BenchmarkPlacementTick measures one scheduler placement pass over a
 // saturated pool: 64 workers × 32 stages × 16 tasks. This is the hot path
@@ -79,5 +82,51 @@ func BenchmarkPlacementTickMedium(b *testing.B)      { benchTickAt(b, 256, 64, 1
 func BenchmarkPlacementTickLargeExact(b *testing.B) { benchTickAt(b, 1024, 256, 16, false) }
 
 // BenchmarkPlacementTickLarge is the same pool on the fixture's scalable
-// path (top-K candidate index + parallel ranking; see EnableScalable).
+// path (top-K candidate index; see EnableScalable).
 func BenchmarkPlacementTickLarge(b *testing.B) { benchTickAt(b, 1024, 256, 16, true) }
+
+// TestPlacementTickAllocsZero pins the steady-state placement tick at zero
+// heap allocations with more than one proc, on the placement_tick fixture,
+// the hetero+penalty fixture and the 64-worker scalable fixture.
+// testing.AllocsPerRun forces GOMAXPROCS to 1, so the test counts Mallocs
+// itself; GOMAXPROCS is set before each fixture is built, because a fixture
+// may size itself by it.
+func TestPlacementTickAllocsZero(t *testing.T) {
+	fixtures := []struct {
+		name string
+		mk   func() *PlacementBench
+	}{
+		{"exact", func() *PlacementBench { return NewPlacementBench(64, 32, 16) }},
+		{"hetero-penalty", func() *PlacementBench {
+			pb := NewPlacementBenchHetero(64, 32, 16)
+			pb.Configure(func(c *Config) { c.InterferencePenalty = true })
+			return pb
+		}},
+		{"scalable", func() *PlacementBench {
+			pb := NewPlacementBench(64, 32, 16)
+			pb.EnableScalable()
+			return pb
+		}},
+	}
+	const ticks = 200
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, f := range fixtures {
+			pb := f.mk()
+			if pb.Tick() == 0 { // warm-up: grows the reusable buffers
+				t.Fatalf("%s: placement pass placed nothing", f.name)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < ticks; i++ {
+				pb.Tick()
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.Mallocs - before.Mallocs) / ticks; per != 0 {
+				t.Errorf("%s at GOMAXPROCS=%d: %d allocs/tick, want 0", f.name, procs, per)
+			}
+		}
+	}
+}

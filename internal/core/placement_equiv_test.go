@@ -1,11 +1,9 @@
 package core
 
 // Equivalence suite for the sub-linear placement path: the top-K candidate
-// index with K ≥ W and the parallel ranking pass must each, and together,
-// produce placements bit-identical to the exact serial scan — at tick
-// granularity on the saturated bench fixture and at system granularity on
-// full simulated runs (including a worker failure). Run under -race in CI:
-// the parallel ranking pass spawns goroutines inside the simulation.
+// index with K ≥ W must produce placements bit-identical to the exact full
+// scan — at tick granularity on the saturated bench fixture and at system
+// granularity on full simulated runs (including a worker failure).
 
 import (
 	"testing"
@@ -59,21 +57,11 @@ func TestTickEquivalenceTopKAtLeastW(t *testing.T) {
 	}
 }
 
-func TestTickEquivalenceParallelRanking(t *testing.T) {
-	for _, par := range []int{2, 4, 9} {
-		exact := NewPlacementBench(48, 24, 8)
-		pr := NewPlacementBench(48, 24, 8)
-		pr.Configure(func(c *Config) { c.RankParallelism = par })
-		assertSameTicks(t, "parallel-rank", exact, pr, 4)
-	}
-}
-
 func TestTickEquivalenceAllFlagsExactK(t *testing.T) {
 	exact := NewPlacementBench(48, 24, 8)
 	all := NewPlacementBench(48, 24, 8)
 	all.Configure(func(c *Config) {
 		c.CandidateWorkers = 48 // K = W: exact scan, index plumbing active
-		c.RankParallelism = 4
 	})
 	assertSameTicks(t, "all-flags", exact, all, 6)
 }
@@ -84,10 +72,7 @@ func TestTickEquivalenceAllFlagsExactK(t *testing.T) {
 func TestTickTopKSmallDeterministic(t *testing.T) {
 	mk := func() *PlacementBench {
 		pb := NewPlacementBench(48, 24, 8)
-		pb.Configure(func(c *Config) {
-			c.CandidateWorkers = 8
-			c.RankParallelism = 3
-		})
+		pb.Configure(func(c *Config) { c.CandidateWorkers = 8 })
 		return pb
 	}
 	a, b := mk(), mk()
@@ -118,11 +103,6 @@ func TestTickEquivalenceHetero(t *testing.T) {
 		mod  func(*Config)
 	}{
 		{"topk-exact", func(c *Config) { c.CandidateWorkers = 48 }},
-		{"parallel-rank", func(c *Config) { c.RankParallelism = 4 }},
-		{"all", func(c *Config) {
-			c.CandidateWorkers = 48
-			c.RankParallelism = 4
-		}},
 	}
 	for _, penalty := range []bool{false, true} {
 		name := "penalty-off"
@@ -165,8 +145,8 @@ func runSystem(t *testing.T, cfg Config, n int, failAt eventloop.Duration) []eve
 }
 
 // TestSystemEquivalence runs full simulations and demands bit-identical
-// job finish times between the exact serial scheduler and each optimized
-// path, under both ordering policies and across a worker failure (which
+// job finish times between the exact scheduler and the top-K path with
+// K ≥ W, under both ordering policies and across a worker failure (which
 // exercises the failed-worker sentinel in the snapshot).
 func TestSystemEquivalence(t *testing.T) {
 	variants := []struct {
@@ -174,11 +154,6 @@ func TestSystemEquivalence(t *testing.T) {
 		mod  func(*Config)
 	}{
 		{"topk-exact", func(c *Config) { c.CandidateWorkers = 1 << 20 }},
-		{"parallel-rank", func(c *Config) { c.RankParallelism = 4 }},
-		{"all", func(c *Config) {
-			c.CandidateWorkers = 1 << 20
-			c.RankParallelism = 4
-		}},
 	}
 	scenarios := []struct {
 		name   string
@@ -208,7 +183,7 @@ func TestSystemEquivalence(t *testing.T) {
 
 // TestSystemEquivalenceHetero runs full simulations on a mixed-capacity
 // cluster (one machine contended) and demands bit-identical job finish
-// times between the exact serial scheduler and each optimized path, with
+// times between the exact scheduler and the top-K path with K ≥ W, with
 // the interference penalty off and on.
 func TestSystemEquivalenceHetero(t *testing.T) {
 	variants := []struct {
@@ -216,11 +191,6 @@ func TestSystemEquivalenceHetero(t *testing.T) {
 		mod  func(*Config)
 	}{
 		{"topk-exact", func(c *Config) { c.CandidateWorkers = 1 << 20 }},
-		{"parallel-rank", func(c *Config) { c.RankParallelism = 4 }},
-		{"all", func(c *Config) {
-			c.CandidateWorkers = 1 << 20
-			c.RankParallelism = 4
-		}},
 	}
 	run := func(cfg Config) []eventloop.Time {
 		t.Helper()
@@ -264,7 +234,6 @@ func TestSystemEquivalenceHetero(t *testing.T) {
 func TestSystemTopKSmallCompletes(t *testing.T) {
 	cfg := Config{}
 	cfg.CandidateWorkers = 2 // 4 workers: genuinely restrictive
-	cfg.RankParallelism = 2
 	times := runSystem(t, cfg, 6, 0)
 	for i, at := range times {
 		if at <= 0 {

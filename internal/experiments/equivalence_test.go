@@ -10,10 +10,8 @@ import (
 )
 
 // System-level equivalence for the sub-linear placement path on realistic
-// workloads: every optimized configuration — top-K candidate index with
-// K ≥ W, parallel ranking, and both together — must reproduce the exact
-// serial scheduler's results bit for bit, JCT by JCT, on the paper
-// cluster. Run under -race in CI.
+// workloads: the top-K candidate index with K ≥ W must reproduce the exact
+// scheduler's results bit for bit, JCT by JCT, on the paper cluster.
 
 // placementVariants are the optimized configurations that must be exact.
 func placementVariants() []struct {
@@ -25,11 +23,6 @@ func placementVariants() []struct {
 		mod  func(*core.Config)
 	}{
 		{"topk-exact", func(c *core.Config) { c.CandidateWorkers = 1 << 20 }},
-		{"parallel-rank", func(c *core.Config) { c.RankParallelism = 6 }},
-		{"all", func(c *core.Config) {
-			c.CandidateWorkers = 1 << 20
-			c.RankParallelism = 6
-		}},
 	}
 }
 

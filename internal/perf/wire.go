@@ -3,8 +3,8 @@
 // partition from the encode-once blob store is a copy, not a marshal; the
 // pooled frame path runs allocation-free at steady state; spilled
 // partitions stream from disk at disk-like rates — against the legacy
-// encode-per-fetch baseline, which is kept runnable (Runtime.SetBlobCache)
-// precisely so the ratio stays measurable on any machine.
+// encode-per-fetch baseline, which this file reproduces (legacyServe) so the
+// ratio stays measurable on any machine.
 //
 //	go run ./cmd/ursa-bench -wire BENCH_wire.json
 //	go run ./cmd/ursa-bench -guard-wire BENCH_wire.json
@@ -72,11 +72,20 @@ func wireRows(contrib int) []localrt.Row {
 	return rows
 }
 
+// wireContribRows builds the rows of every scenario contribution, in
+// producer order.
+func wireContribRows() [][]localrt.Row {
+	contribs := make([][]localrt.Row, wireContribs)
+	for c := range contribs {
+		contribs[c] = wireRows(c)
+	}
+	return contribs
+}
+
 // wireStore builds a runtime whose dataset's partition 0 holds the scenario
-// contributions, pre-encoded when encodeOnce is true and rows-only (so every
-// serve re-marshals) when false. Returns the store, the dataset, and the
+// contributions, pre-encoded. Returns the store, the dataset, and the
 // partition's total encoded bytes.
-func wireStore(encodeOnce bool) (*localrt.Runtime, *dag.Dataset, int) {
+func wireStore() (*localrt.Runtime, *dag.Dataset, int) {
 	g := dag.NewGraph()
 	d := g.CreateData(1)
 	out := g.CreateData(1)
@@ -84,34 +93,46 @@ func wireStore(encodeOnce bool) (*localrt.Runtime, *dag.Dataset, int) {
 	op.SetUDF(localrt.UDF(func(ins [][]localrt.Row) []localrt.Row { return ins[0] }))
 	rt := localrt.New(g.MustBuild())
 	rt.SetCodec(workload.Codec{})
-	if !encodeOnce {
-		rt.SetBlobCache(false)
-	}
 	total := 0
-	for c := 0; c < wireContribs; c++ {
-		rows := wireRows(c)
-		if encodeOnce {
-			blob, flags, rawLen, err := (workload.Codec{}).EncodeBlob(rows)
-			if err != nil {
-				panic(err)
-			}
-			total += len(blob)
-			rt.InsertEncoded(d, 0, c, blob, flags, rawLen)
-		} else {
-			rt.InsertContribution(d, 0, c, rows)
-		}
-	}
-	if !encodeOnce {
-		// Same bytes either way; size once for the throughput figure.
-		refs, err := rt.PartBlobsAppend(nil, d, 0)
+	for c, rows := range wireContribRows() {
+		blob, flags, rawLen, err := (workload.Codec{}).EncodeBlob(rows)
 		if err != nil {
 			panic(err)
 		}
-		for i := range refs {
-			total += refs[i].Len
-		}
+		total += len(blob)
+		rt.InsertEncoded(d, 0, c, blob, flags, rawLen)
 	}
 	return rt, d, total
+}
+
+// legacyServe is one partition serve the pre-encode-once way: every
+// contribution's rows are marshalled afresh, as every fetch used to do. It
+// appends the encodings to dst in producer order and returns it.
+func legacyServe(dst [][]byte, contribs [][]localrt.Row) ([][]byte, error) {
+	for _, rows := range contribs {
+		blob, _, _, err := (workload.Codec{}).EncodeBlob(rows)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, blob)
+	}
+	return dst, nil
+}
+
+// legacyServeBench measures legacyServe over the scenario partition.
+func legacyServeBench(contribs [][]localrt.Row) func(b *testing.B) {
+	return func(b *testing.B) {
+		var blobs [][]byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			blobs, err = legacyServe(blobs[:0], contribs)
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // serveBench measures PartBlobsAppend over the scenario partition.
@@ -164,13 +185,11 @@ func MeasureWireServe() (encodeOnce, legacy Benchmark) {
 	initTesting.Do(testing.Init)
 	rowsPerOp := float64(wireContribs * wireRowsPer)
 
-	rt, d, bytes := wireStore(true)
+	rt, d, bytes := wireStore()
 	defer rt.Close()
 	encodeOnce = withBytes(bestOf(3, serveBench(rt, d), rowsPerOp, "rows/s"), bytes)
-
-	lrt, ld, lbytes := wireStore(false)
-	defer lrt.Close()
-	legacy = withBytes(measure(serveBench(lrt, ld), rowsPerOp, "rows/s"), lbytes)
+	// Both arms serve the same bytes (TestLegacyServeEncodesStoredBlobs).
+	legacy = withBytes(measure(legacyServeBench(wireContribRows()), rowsPerOp, "rows/s"), bytes)
 	return encodeOnce, legacy
 }
 
@@ -186,7 +205,7 @@ func CollectWire() (*WireReport, error) {
 	rep.EncodeOnceServe, rep.LegacyServe = MeasureWireServe()
 
 	// Full fetch over loopback through the pooled frame path.
-	rt, d, bytes := wireStore(true)
+	rt, d, bytes := wireStore()
 	defer rt.Close()
 	srv, err := shuffle.Listen("127.0.0.1:0", shuffle.ServerConfig{},
 		func(int64) *localrt.Runtime { return rt }, nil)

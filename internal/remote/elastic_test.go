@@ -3,11 +3,15 @@ package remote
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ursa/internal/core"
+	"ursa/internal/dataset"
 	"ursa/internal/elastic"
 	"ursa/internal/remote/agent"
 	"ursa/internal/remote/workload"
@@ -363,20 +367,80 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 	}
 }
 
+// gatedMap holds the map stage of the "gated_wordcount" test workload: every
+// map call blocks until the channel is closed. The builder captures the
+// channel current at build time; in-process agents share the workload
+// registry, so master and agents build against the same gate.
+var (
+	gatedMu      sync.Mutex
+	gatedMap     chan struct{}
+	gatedRegOnce sync.Once
+)
+
+// gatedWordCount registers (once) the "gated_wordcount" workload and
+// returns its name: wordcount over 20000 lines in 12 input and 6 output
+// partitions, whose map stage cannot finish before gate is closed.
+func gatedWordCount(gate chan struct{}) string {
+	gatedRegOnce.Do(func() {
+		workload.Register("gated_wordcount", func([]byte) (*workload.BuiltJob, error) {
+			gatedMu.Lock()
+			gate := gatedMap
+			gatedMu.Unlock()
+			text := make([]string, 20000)
+			for i := range text {
+				text[i] = fmt.Sprintf("w%d w%d common tokens", i%13, i%7)
+			}
+			sess := dataset.NewSession()
+			ds := dataset.Parallelize(sess, text, 12)
+			words := dataset.FlatMap(ds, "tokenize", func(line string) []dataset.Pair[string, int] {
+				<-gate
+				fields := strings.Fields(line)
+				out := make([]dataset.Pair[string, int], len(fields))
+				for i, w := range fields {
+					out[i] = dataset.Pair[string, int]{Key: w, Val: 1}
+				}
+				return out
+			})
+			counts := dataset.ReduceByKey(words, "count", 6, func(a, b int) int { return a + b })
+			plan, err := sess.Graph().Build()
+			if err != nil {
+				return nil, err
+			}
+			return &workload.BuiltJob{
+				Spec:   core.JobSpec{Name: "gated_wordcount", Graph: sess.Graph()},
+				Plan:   plan,
+				Inputs: sess.InputBindings(),
+				Output: counts.Dag(),
+			}, nil
+		})
+	})
+	gatedMu.Lock()
+	gatedMap = gate
+	gatedMu.Unlock()
+	return "gated_wordcount"
+}
+
 // TestElasticJoinPreparesFrontDoorJobs pins the catch-up Prepare contract
 // for mid-run joins: a worker that joins while a front-door job is already
 // admitted and dispatching must be prepared for it before any of its
 // monotasks land there. Front-door jobs never enter Master.jobs (only the
 // batch path does), so the join must enumerate the executor's registry — a
 // joiner missing the Prepare rejects the first dispatch as unprepared and
-// gets failed by the master.
+// gets failed by the master. The job's map stage is held on a gate until
+// the join lands, so the job cannot finish before the joiner registers
+// however busy the machine is.
 func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
-	lc, runErr := startServeCluster(t, 1, Config{Elastic: true})
+	// Each map task reserves 1.5 × its ~1667 input rows of memory, so one
+	// 6000-unit worker holds at most three of the twelve gated maps: the
+	// rest stay pending until the joiner brings headroom.
+	lc, runErr := startServeCluster(t, 1, Config{Elastic: true, MemPerWorker: 6000})
 	log := newStatusLog()
 	c := dialFrontDoor(t, lc, ClientConfig{Tenant: "join", OnStatus: log.add})
 
-	name, params := workload.WordCount(workload.WordCountParams{Lines: 20000, InParts: 12, OutParts: 6})
-	jobID, err := c.Submit(name, params)
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release) // a failed wait must not leave map calls blocked
+	jobID, err := c.Submit(gatedWordCount(gate), nil)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -389,6 +453,10 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 	}
 	t.Cleanup(a.Kill)
 	waitFor(t, "elastic join", func() bool { return lc.Master.Elastic.Joined.Load() == 1 })
+	// Only the joiner has memory for the pending maps: its first dispatch
+	// lands while the map stage is still held.
+	waitFor(t, "joiner dispatch", func() bool { return lc.Master.Transport.Worker(1).Dispatches > 0 })
+	release()
 
 	log.waitState(t, jobID, wire.StateFinished)
 	if got := lc.Master.Transport.Failures(); got != 0 {
